@@ -208,7 +208,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cap = int(os.environ.get(_ORACLE_ENV, _DEFAULT_ORACLE_CAP))
+    raw_cap = os.environ.get(_ORACLE_ENV, str(_DEFAULT_ORACLE_CAP))
+    try:
+        cap = int(raw_cap)
+    except ValueError:
+        raise ParameterError(
+            f"{_ORACLE_ENV} must be an integer, got {raw_cap!r}"
+        ) from None
     if args.n > cap:
         raise OracleSizeError(
             f"n={args.n} exceeds the oracle cap {cap} "
@@ -217,7 +223,7 @@ def _cmd_oracle(args) -> int:
     family = ForbiddenFamily(
         cycle_min_len=args.k, matching_bound=args.s, clique_order=args.r
     )
-    result = brute_force_ex(args.n, family, jobs=max(1, args.jobs))
+    result = brute_force_ex(args.n, family, jobs=args.jobs)
     print(json.dumps(result.to_json(stable=args.stable), indent=2))
     return 0
 
@@ -268,7 +274,7 @@ def run(argv: list[str]) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, OSError) as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,17 +178,9 @@ def build_woodall_G0(n: int, k: int) -> Graph:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     q, p = divmod(n - 1, k - 2)
-    edges = []
-    nxt = 1
-    for sizes in [k - 1] * q + ([p + 1] if p >= 1 else []):
-        members = [0] + list(range(nxt, nxt + sizes - 1))
-        nxt += sizes - 1
-        edges.extend(
-            (members[i], members[j])
-            for i in range(sizes)
-            for j in range(i + 1, sizes)
-        )
-    return Graph(n, edges)
+    orders = [k - 1] * q + ([p + 1] if p >= 1 else [])
+    central, *attached = orders or [1]  # n = 1: the hub alone
+    return build_block_star(BlockStarSpec(central=central, attached=tuple(attached)))
 
 
 def build_multipartite_G(n: int, k: int, s: int) -> Graph:

@@ -23,19 +23,7 @@ from __future__ import annotations
 
 from .blocks import _raw_blocks
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, _iter_bits
-
-
-def _reachable(adj: tuple[int, ...], allowed: int, seeds: int) -> int:
-    reach = 0
-    frontier = seeds & allowed
-    while frontier:
-        reach |= frontier
-        nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & allowed & ~reach
-    return reach
+from .graphs import Graph, _iter_bits, reach
 
 
 def _twin_class_masks(adj: tuple[int, ...], alive: int, n: int) -> list[int]:
@@ -108,10 +96,9 @@ def _longest_cycle_in_block(
             threshold = best_len if target is None else target - 1
             if len(path) + free.bit_count() <= threshold:
                 return False
-            reach = _reachable(adj, free, adj[v] & free)
-            if len(path) + reach.bit_count() <= threshold:
-                return False
             m = adj[v] & free
+            if len(path) + reach(adj, free, m).bit_count() <= threshold:
+                return False
             seen_classes = 0
             while m:
                 low = m & -m

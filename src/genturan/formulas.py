@@ -254,7 +254,7 @@ def ex_even(n: int, k: int, s: int, r: int) -> ExtremalValue:
     witness realizes the winning profile.  The first family is empty
     exactly when s = k-1, in which case only the second competes.
     """
-    from .optimizer import extremal_even_witness, maximize_g
+    from .optimizer import solve_even
 
     if r < 2:
         raise ParameterError(f"r must be >= 2, got {r}")
@@ -264,18 +264,12 @@ def ex_even(n: int, k: int, s: int, r: int) -> ExtremalValue:
         raise ParameterError(f"need k >= r, got k={k}, r={r}")
     if s < k - 1:
         raise ParameterError(f"need s >= k-1, got s={s}, k={k}")
-    candidates = []
-    if s >= k:
-        best1, _ = maximize_g(k, r, s, "T1")
-        candidates.append(best1)
-    best2, _ = maximize_g(k, r, s, "T2")
-    candidates.append(best2 - comb(k - 1, r - 2))
-    offset = max(candidates)
-    value = comb(k - 1, r - 1) * n + offset
-    spec = extremal_even_witness(n, k, r, s)
-    family = "T1" if spec.central.k == 2 * k else "T2"
+    offset, family, spec = solve_even(n, k, r, s)
     return ExtremalValue(
-        value=value, regime=family, witness=spec, asymptotic_warning=_warn(n, s)
+        value=comb(k - 1, r - 1) * n + offset,
+        regime=family,
+        witness=spec,
+        asymptotic_warning=_warn(n, s),
     )
 
 

@@ -89,10 +89,6 @@ class Graph:
             for v in _iter_bits(self._adj[u] >> (u + 1)):
                 yield (u, v + u + 1)
 
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with the given edges added."""
-        return Graph(self.n, list(self.edges()) + list(extra))
-
     def relabeled(self, perm: list[int]) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -102,15 +98,8 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= self._adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return reach(self._adj, full, 1) == full
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -134,6 +123,24 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def reach(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> int:
+    """Bitmask of the vertices of `allowed` reachable from `seeds & allowed`
+    by paths that stay inside `allowed` (breadth-first, one bitmask per
+    layer)."""
+    seen = 0
+    frontier = seeds & allowed
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & allowed & ~seen
+    return seen
+
+
 def count_cliques(graph: Graph, r: int) -> int:
     """Number of r-vertex subsets of `graph` that induce a complete subgraph.
 
@@ -147,50 +154,24 @@ def count_cliques(graph: Graph, r: int) -> int:
         return graph.n
     if r == 2:
         return graph.num_edges
-    adj = graph._adj
-
-    def rec(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            if cand.bit_count() < need:
-                break
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            total += rec(cand & adj[v], need - 1)
-        return total
-
-    return rec((1 << graph.n) - 1, r)
+    return count_cliques_in_mask(graph._adj, (1 << graph.n) - 1, r)
 
 
 def count_cliques_in_mask(adj: tuple[int, ...] | list[int], cand: int, r: int) -> int:
-    """r-cliques using only vertices of `cand` (helper for incremental counts)."""
+    """r-cliques using only vertices of `cand`: the clique recursion behind
+    count_cliques and the oracle's incremental counts."""
     if r == 0:
         return 1
     if r == 1:
         return cand.bit_count()
-
-    def rec(c: int, need: int) -> int:
-        if need == 1:
-            return c.bit_count()
-        total = 0
-        while c:
-            if c.bit_count() < need:
-                break
-            low = c & -c
-            c ^= low
-            v = low.bit_length() - 1
-            total += rec(c & adj[v], need - 1)
-        return total
-
-    return rec(cand, r)
-
-
-def count_cliques_all_sizes(graph: Graph) -> list[int]:
-    """[N_1, N_2, ..., N_n]; mostly a consistency oracle for count_cliques."""
-    return [count_cliques(graph, r) for r in range(1, graph.n + 1)]
+    total = 0
+    while cand:
+        if cand.bit_count() < r:
+            break
+        low = cand & -cand
+        cand ^= low
+        total += count_cliques_in_mask(adj, cand & adj[low.bit_length() - 1], r - 1)
+    return total
 
 
 def count_cliques_by_enumeration(graph: Graph, r: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParameterError, SizeLimitError
-from .graphs import Graph, _iter_bits
+from .graphs import Graph, _iter_bits, reach
 
 _ENUMERATION_LIMIT = 12
 _CERTIFICATE_LIMIT = 20
@@ -192,15 +192,7 @@ def _components_of_complement(graph: Graph, removed_mask: int) -> list[int]:
     remaining = ((1 << graph.n) - 1) & ~removed_mask
     comps = []
     while remaining:
-        low = remaining & -remaining
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
+        comp = reach(adj, remaining, remaining & -remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps

@@ -103,13 +103,14 @@ def maximize_g(k: int, r: int, s: int, family: str) -> tuple[int, FeasibleTriple
     return best_value, best
 
 
-def extremal_even_witness(n: int, k: int, r: int, s: int) -> BlockStarSpec:
-    """Block-star spec realizing the even-case maximum on n vertices.
+def solve_even(n: int, k: int, r: int, s: int) -> tuple[int, str, BlockStarSpec]:
+    """The even-case maximum on n vertices: (offset, family, witness spec).
 
-    The winning profile (x, y, z) of the winning family becomes x blocks
-    of order 2k-1, y of order 2k-2 and one of order z (omitted at z = 1)
-    around a central block H_{m, 2k, k-1} (family T1) or H_{m, 2k-1, k-1}
-    (family T2); ties between families resolve to T1.  Compositions whose
+    The offset is the larger of the T1 maximum and the T2 maximum less
+    C(k-1, r-2); ties between families resolve to T1.  The winning profile
+    (x, y, z) becomes x blocks of order 2k-1, y of order 2k-2 and one of
+    order z (omitted at z = 1) around a central block H_{m, 2k, k-1}
+    (family T1) or H_{m, 2k-1, k-1} (family T2).  Compositions whose
     central block would be too small to reach its designed matching
     number are rejected.
     """
@@ -124,7 +125,7 @@ def extremal_even_witness(n: int, k: int, r: int, s: int) -> BlockStarSpec:
         candidates.append((v1, "T1", t1))
     v2, t2 = maximize_g(k, r, s, "T2")
     candidates.append((v2 - comb(k - 1, r - 2), "T2", t2))
-    value, family, triple = max(
+    offset, family, triple = max(
         candidates, key=lambda c: (c[0], c[1] == "T1")
     )
     central_k = 2 * k if family == "T1" else 2 * k - 1
@@ -140,6 +141,13 @@ def extremal_even_witness(n: int, k: int, r: int, s: int) -> BlockStarSpec:
             f"{central_k + sum(c - 1 for c in attached)} for the winning "
             f"profile (x={triple.x}, y={triple.y}, z={triple.z}, {family})"
         )
-    return BlockStarSpec(
+    spec = BlockStarSpec(
         central=HGraphParams(n=central_n, k=central_k, a=k - 1), attached=attached
     )
+    return offset, family, spec
+
+
+def extremal_even_witness(n: int, k: int, r: int, s: int) -> BlockStarSpec:
+    """Block-star spec realizing the even-case maximum on n vertices
+    (the witness part of solve_even)."""
+    return solve_even(n, k, r, s)[2]

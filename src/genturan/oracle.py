@@ -23,6 +23,7 @@ computes it without touching all n! permutations.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from math import comb
@@ -32,7 +33,7 @@ from .constructors import build_block_star, build_woodall_G0
 from .errors import OracleSizeError, ParameterError
 from .family import ForbiddenFamily, is_family_free
 from .formulas import ex_even_edges, ex_odd
-from .graphs import Graph, count_cliques, count_cliques_in_mask
+from .graphs import Graph, count_cliques, count_cliques_in_mask, reach
 from .graph_io import to_graph6
 from .matching import has_matching_of_size
 
@@ -193,20 +194,6 @@ def _exists_long_path(
     vbit = 1 << v
     full = (1 << n) - 1
 
-    def reach_with_target(allowed: int, seeds: int) -> int:
-        reach = 0
-        frontier = seeds & allowed
-        while frontier:
-            reach |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= masks[low.bit_length() - 1]
-            frontier = nxt & allowed & ~reach
-        return reach
-
     def rec(cur: int, visited: int, length: int) -> bool:
         if (masks[cur] >> v) & 1 and length + 1 >= min_vertices:
             return True
@@ -214,10 +201,10 @@ def _exists_long_path(
         cand = masks[cur] & allowed
         if not cand:
             return False
-        reach = reach_with_target(allowed, cand)
-        if not (reach & masks[v]) and not ((masks[cur] >> v) & 1):
+        reachable = reach(masks, allowed, cand)
+        if not (reachable & masks[v]) and not ((masks[cur] >> v) & 1):
             return False
-        if length + reach.bit_count() + 1 < min_vertices:
+        if length + reachable.bit_count() + 1 < min_vertices:
             return False
         m = cand
         while m:
@@ -389,10 +376,11 @@ def brute_force_ex(
         (n, family, edges, chunk_id, chunk_edges, seed, witness_cap)
         for chunk_id in range(1 << chunk_edges)
     ]
-    if jobs > 1:
+    workers = _worker_count(jobs, len(args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_search_chunk_args, args, chunksize=4))
     else:
         results = [_search_chunk_args(a) for a in args]
@@ -414,6 +402,12 @@ def brute_force_ex(
         examined=examined,
         elapsed_ms=elapsed_ms,
     )
+
+
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Worker processes for `jobs` requested: at least one, and no more
+    than there are chunks to search or CPUs to run them."""
+    return max(1, min(jobs, chunks, os.cpu_count() or 1))
 
 
 def _search_chunk_args(args: tuple) -> tuple[int, list[str], int]:

@@ -21,6 +21,7 @@ from .constructors import (
 from .cycles import circumference, has_cycle_geq
 from .family import ForbiddenFamily, is_family_free
 from .formulas import (
+    ex_even,
     ex_even_edges,
     ex_matching_only,
     ex_odd,
@@ -31,7 +32,6 @@ from .formulas import (
 from .graphs import Graph, count_cliques
 from .graph_io import from_graph6, to_graph6
 from .matching import berge_tutte_certificate, max_matching
-from .optimizer import maximize_g
 from .oracle import brute_force_ex, canonical_graph6
 
 
@@ -85,12 +85,8 @@ def _check_even() -> None:
             )
     for k in range(3, 6):
         for s in range(k - 1, 3 * k):
-            q, t = divmod(s, k - 1)
-            eps = 1 if t else 0
-            offsets = [maximize_g(k, 2, s, "T2")[0] - 1]
-            if s >= k:
-                offsets.append(maximize_g(k, 2, s, "T1")[0])
-            assert max(offsets) == -comb(k, 2) + (k - 1) * (q - 1) + eps
+            n = 6 * s + 2 * k
+            assert ex_even(n, k, s, 2).value == ex_even_edges(n, k, s).value
 
 
 def _check_star_transform() -> None:

@@ -134,6 +134,20 @@ class TestConstructVerifyRoundTrip:
         code, _, _ = _run(capsys, ["verify", "--graph", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--graph"],
+            ["construct", "--witness", "block-star-spec-file", "--spec-file"],
+        ],
+    )
+    def test_undecodable_file_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"A\xc3\xa9\n")
+        code, _, err = _run(capsys, [*argv, str(path)])
+        assert code == 2
+        assert err.startswith("error: ") and "decode" in err
+
 
 class TestOracle:
     def test_matches_even_edge_formula(self, capsys):
@@ -157,6 +171,12 @@ class TestOracle:
         code, _, err = _run(capsys, ["oracle", "--n", "6", "--r", "2"])
         assert code == 3
         assert "TURAN_ORACLE_MAX_N" in err
+
+    def test_env_cap_not_an_integer_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("TURAN_ORACLE_MAX_N", "abc")
+        code, _, err = _run(capsys, ["oracle", "--n", "5", "--r", "2"])
+        assert code == 1
+        assert "TURAN_ORACLE_MAX_N" in err and "'abc'" in err
 
     def test_default_cap_is_7(self, capsys, monkeypatch):
         monkeypatch.delenv("TURAN_ORACLE_MAX_N", raising=False)

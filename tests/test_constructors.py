@@ -184,6 +184,23 @@ class TestWoodallG0:
     def test_single_vertex(self):
         assert build_woodall_G0(1, 5) == Graph(1)
 
+    @pytest.mark.parametrize(
+        "n,k,g6",
+        [
+            (1, 3, "@"),
+            (2, 3, "A_"),
+            (7, 5, "F~aKW"),
+            (12, 4, "K{eCKA@_C?o?"),
+            (17, 6, "P~}CKMF_C?oB_F_?O?K?B_?["),
+            (23, 7, "V~~{CEB_{Fo?_@_@o?{?N_?A??K??[??]??N_??C???_"),
+            (30, 5, "]~aK[A@_[?O@_B_?O?K?B_?A??K??[??A??@_??[???O??@_??B_???O???K???B_???A????G"),
+            (30, 11, "]~~~~~~~{?O@_B_Bo@{?^_B}?N{?^{??A??@_??[??Bo??N_??^_??^o??N{??B~_???A????G"),
+        ],
+    )
+    def test_graph6_golden(self, n, k, g6):
+        # labels included: the hub is vertex 0, cliques follow in order
+        assert to_graph6(build_woodall_G0(n, k)) == g6
+
     def test_cycle_free_on_grid(self):
         for k in range(3, 8):
             for n in range(1, 12):

@@ -9,6 +9,7 @@ from genturan import (
     count_cliques_by_enumeration,
     switch_vertex,
 )
+from genturan.graphs import reach
 
 from conftest import bowtie, cycle_graph, graphs, path_graph, star_graph
 
@@ -52,6 +53,24 @@ class TestGraph:
         assert g.degree(0) == 79
         assert count_cliques(g, 2) == 79
         assert count_cliques(g, 3) == 0
+
+
+class TestReach:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=12), st.data())
+    def test_matches_set_based_bfs(self, g, data):
+        full = (1 << g.n) - 1
+        allowed = data.draw(st.integers(0, full))
+        seeds = data.draw(st.integers(0, full))
+        found = {v for v in range(g.n) if (seeds & allowed) >> v & 1}
+        queue = list(found)
+        while queue:
+            v = queue.pop()
+            for u in g.neighbors(v):
+                if (allowed >> u) & 1 and u not in found:
+                    found.add(u)
+                    queue.append(u)
+        assert reach(g.adjacency_masks, allowed, seeds) == sum(1 << v for v in found)
 
 
 class TestCountCliques:

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from genturan import (
     verify_formula_region,
     woodall_bound,
 )
+
+from genturan.oracle import _worker_count
 
 from conftest import random_graph
 
@@ -144,6 +147,17 @@ class TestBruteForce:
         assert serial.max_count == parallel.max_count
         assert serial.witnesses == parallel.witnesses
         assert serial.examined == parallel.examined
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # a pure helper: no pool is started, whatever jobs asks for
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(100000, 64) == 4
+        assert _worker_count(100000, 2) == 2
+        assert _worker_count(3, 64) == 3
+        assert _worker_count(0, 64) == 1
+        assert _worker_count(-7, 64) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(100000, 64) == 1
 
     def test_size_limit(self):
         with pytest.raises(OracleSizeError):
