@@ -31,7 +31,12 @@ from .constructors import (
     build_woodall_G0,
     parse_block_star_spec,
 )
-from .errors import GraphFormatError, OracleSizeError, ParameterError
+from .errors import (
+    GraphFormatError,
+    OracleSizeError,
+    ParameterError,
+    SizeLimitError,
+)
 from .family import ForbiddenFamily, is_family_free
 from .formulas import ex_even, ex_even_edges, ex_odd
 from .graphs import count_cliques
@@ -185,6 +190,7 @@ def _cmd_verify(args) -> int:
         "clique_count": count_cliques(graph, args.r),
         "matching_number": max_matching(graph),
         "certificate": None,
+        "certificate_skipped": None,
     }
     if not report.is_free:
         payload["violation"] = {
@@ -192,12 +198,18 @@ def _cmd_verify(args) -> int:
             "cycle": list(report.cycle) if report.cycle else None,
             "matching": [list(e) for e in report.matching] if report.matching else None,
         }
-    if args.s is not None and report.is_free:
+    # family-free implies nu <= s, so the certificate exists; it is only
+    # skipped when there is no bound to certify or the search refuses n
+    if args.s is None:
+        payload["certificate_skipped"] = "no matching bound given (--s)"
+    elif not report.is_free:
+        payload["certificate_skipped"] = "the graph is not family-free"
+    else:
         try:
             cert = berge_tutte_certificate(graph, args.s)
-        except ParameterError:
-            cert = None
-        if cert is not None:
+        except SizeLimitError as exc:
+            payload["certificate_skipped"] = str(exc)
+        else:
             payload["certificate"] = {
                 "vertex_set": list(cert.vertex_set),
                 "component_sizes": list(cert.component_sizes),

@@ -79,6 +79,26 @@ class TestConstructVerifyRoundTrip:
         data = json.loads(out)
         assert data["family_free"] is True
         assert data["clique_count"] == expected_count
+        assert data["certificate"] is not None
+        assert data["certificate_skipped"] is None
+
+    def test_verify_certificate_skipped_above_size_limit(self, capsys, tmp_path):
+        path = tmp_path / "witness.g6"
+        code, _, _ = _run(
+            capsys,
+            ["construct", "--witness", "extremal-odd", "--n", "24", "--k", "2",
+             "--s", "5", "--output", str(path)],
+        )
+        assert code == 0
+        code, out, _ = _run(
+            capsys, ["verify", "--graph", str(path), "--k", "5", "--s", "5"]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["family_free"] is True
+        assert data["certificate"] is None
+        assert "n <= 20" in data["certificate_skipped"]
+        assert "n=24" in data["certificate_skipped"]
 
     def test_construct_stdout_deterministic(self, capsys):
         argv = ["construct", "--witness", "g0", "--n", "7", "--k", "5"]
@@ -123,6 +143,7 @@ class TestConstructVerifyRoundTrip:
         assert data["family_free"] is False
         assert data["violation"]["constraint"] == "cycle"
         assert len(data["violation"]["cycle"]) >= 5
+        assert data["certificate_skipped"] == "no matching bound given (--s)"
 
     def test_verify_missing_file_exit_2(self, capsys):
         code, _, _ = _run(capsys, ["verify", "--graph", "/nonexistent.g6"])

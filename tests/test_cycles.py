@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genturan import (
     BudgetExceededError,
@@ -9,12 +10,17 @@ from genturan import (
     Graph,
     ParameterError,
     build_H,
+    build_St1,
+    build_St2,
+    build_extremal_odd,
     circumference,
     circumference_by_enumeration,
     enumerate_family_free,
     find_cycle_geq,
     has_cycle_geq,
 )
+from genturan.blocks import _raw_blocks
+from genturan.cycles import _SearchState, _longest_cycle_in_block, _twin_kernel
 
 from conftest import bowtie, cycle_graph, graphs, path_graph, random_graph
 
@@ -95,3 +101,84 @@ class TestHasCycleGeq:
         c = circumference(g)
         for k_c in range(3, g.n + 2):
             assert has_cycle_geq(g, k_c) == (c >= k_c)
+
+
+@st.composite
+def graphs_with_twin_class(draw, max_n: int = 8):
+    """A random graph on b vertices plus t > |N| copies of one random
+    neighborhood N among them (a planted twin class), labels shuffled so
+    the class is not always the highest-labelled vertices."""
+    size = draw(st.integers(1, 3))
+    t = draw(st.integers(size + 1, max_n - size))
+    b = draw(st.integers(size, max_n - t))
+    pairs = [(u, v) for u in range(b) for v in range(u + 1, b)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    hood = draw(st.lists(st.integers(0, b - 1), min_size=size, max_size=size,
+                         unique=True))
+    edges += [(w, c) for c in range(b, b + t) for w in hood]
+    perm = draw(st.permutations(range(b + t)))
+    return Graph(b + t, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _unreduced_circumference(g: Graph) -> int:
+    """Block-by-block DFS on the full blocks, without the twin kernel."""
+    best = 0
+    for block in _raw_blocks(g)[0]:
+        if len(block) >= 3:
+            mask = sum(1 << v for v in block)
+            length, _ = _longest_cycle_in_block(
+                g.adjacency_masks, mask, g.n, None, _SearchState(None)
+            )
+            best = max(best, length)
+    return best
+
+
+def _small_witnesses():
+    for n in (7, 12, 19, 30):
+        for k in (2, 3):
+            for s in range(2 * k + 1, 3 * k + 1):
+                for r in (2, 3):
+                    try:
+                        g = build_extremal_odd(n, k, s, r)
+                    except ParameterError:
+                        continue  # n is below the witness order
+                    yield g, 2 * k + 1
+    for k in (2, 3, 4):
+        for q in (1, 2, 3):
+            for n in (q * (2 * k - 2) + 2, 30):
+                yield build_St1(n, k, q), 2 * k
+                yield build_St2(n, k, q), 2 * k
+    for k in range(4, 9):
+        for a in range(2, (k - 1) // 2 + 1):
+            for n in (k, 30):
+                yield build_H(n, k, a), k
+
+
+class TestTwinKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_twin_class())
+    def test_planted_twins_against_enumeration(self, g):
+        c = circumference(g)
+        assert c == circumference_by_enumeration(g)
+        for k_c in range(3, g.n + 2):
+            cycle = find_cycle_geq(g, k_c)
+            assert (cycle is not None) == (c >= k_c)
+            if cycle is not None:
+                assert len(cycle) >= k_c and _is_cycle(g, cycle)
+
+    def test_witnesses_against_unreduced_search(self):
+        checked = 0
+        for g, c in _small_witnesses():
+            assert g.n <= 30
+            full = _unreduced_circumference(g)
+            assert circumference(g) == full
+            assert full < c
+            assert has_cycle_geq(g, c - 1) == (full >= c - 1)
+            checked += 1
+        assert checked > 40
+
+    def test_extremal_odd_5000_keeps_21_vertices(self):
+        # H(4985, 7, 3) keeps its 3 dominating vertices and 3 of the 4982
+        # vertices on them; each attached K_6 keeps its 5 non-hub vertices
+        g = build_extremal_odd(5000, 3, 10, 3)
+        assert _twin_kernel(g.adjacency_masks, (1 << g.n) - 1).bit_count() == 21
