@@ -39,34 +39,7 @@ from __future__ import annotations
 
 from .blocks import _raw_blocks
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, _iter_bits, reach
-
-
-def _twin_classes(adj: tuple[int, ...], alive: int) -> dict[int, int]:
-    """{open neighborhood within alive: bitmask of the alive vertices with
-    it}.  Adjacent vertices never share an open neighborhood, so members
-    of a class are pairwise non-adjacent and freely interchangeable along
-    any cycle."""
-    groups: dict[int, int] = {}
-    m = alive
-    while m:
-        low = m & -m
-        m ^= low
-        key = adj[low.bit_length() - 1] & alive
-        groups[key] = groups.get(key, 0) | low
-    return groups
-
-
-def _twin_class_masks(adj: tuple[int, ...], alive: int, n: int) -> list[int]:
-    """class_mask[v] = bitmask of alive vertices in the twin class of v."""
-    class_mask = [0] * n
-    for members in _twin_classes(adj, alive).values():
-        m = members
-        while m:
-            low = m & -m
-            m ^= low
-            class_mask[low.bit_length() - 1] = members
-    return class_mask
+from .graphs import Graph, _iter_bits, reach, twin_class_masks, twin_classes
 
 
 def _twin_kernel(adj: tuple[int, ...], alive: int) -> int:
@@ -75,7 +48,7 @@ def _twin_kernel(adj: tuple[int, ...], alive: int) -> int:
     members.  Circumference within the kernel equals circumference within
     alive (see the module docstring)."""
     keep = alive
-    for key, members in _twin_classes(adj, alive).items():
+    for key, members in twin_classes(adj, alive).items():
         room = key.bit_count()
         if members.bit_count() > room:
             dropped = members
@@ -122,7 +95,7 @@ def _longest_cycle_in_block(
         needed = target if target is not None else best_len + 1
         if alive.bit_count() < max(needed, 3):
             break
-        class_mask = _twin_class_masks(adj, alive, n)
+        class_mask = twin_class_masks(adj, alive, n)
         path = [start]
         on_path = 1 << start
 

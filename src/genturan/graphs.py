@@ -141,6 +141,36 @@ def reach(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> int:
     return seen
 
 
+def twin_classes(adj: tuple[int, ...] | list[int], alive: int) -> dict[int, int]:
+    """{neighborhood within alive: bitmask of the alive vertices with it}.
+
+    On open neighborhoods (adj as stored) the classes are sets of pairwise
+    non-adjacent twins; on closed neighborhoods (adj[v] | 1 << v) they are
+    cliques of adjacent twins.  Either way, swapping two members of a class
+    is an automorphism of the graph induced on alive."""
+    groups: dict[int, int] = {}
+    m = alive
+    while m:
+        low = m & -m
+        m ^= low
+        key = adj[low.bit_length() - 1] & alive
+        groups[key] = groups.get(key, 0) | low
+    return groups
+
+
+def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> list[int]:
+    """class_mask[v] = bitmask of the alive vertices in the twin class of v
+    (0 for v outside alive), classes as in twin_classes."""
+    class_mask = [0] * n
+    for members in twin_classes(adj, alive).values():
+        m = members
+        while m:
+            low = m & -m
+            m ^= low
+            class_mask[low.bit_length() - 1] = members
+    return class_mask
+
+
 def count_cliques(graph: Graph, r: int) -> int:
     """Number of r-vertex subsets of `graph` that induce a complete subgraph.
 

@@ -18,7 +18,17 @@ identical regardless of parallelism.
 Witnesses are reported in canonical form: the lexicographically minimal
 adjacency bit encoding over all vertex permutations, which is also the
 minimal graph6 body.  A branch-and-bound over partial vertex placements
-computes it without touching all n! permutations.
+computes it without touching all n! permutations, pruned by two rules
+that cannot lose the minimum.  First, only unplaced vertices of minimum
+code (adjacency toward the placed ones) are branched on: the code of the
+vertex placed next is the next encoding entry, compared before every
+later one, so the minimal code is forced at each position.  Second, of
+unplaced twins (equal open or equal closed neighborhoods) only the
+lowest-labelled is tried: transposing two unplaced twins is an
+automorphism that fixes the placed prefix, so both subtrees yield the
+same encodings.  The extremal graphs are block-stars, made of cliques of
+closed twins and classes of open twins, so the second rule removes most
+of their search.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .constructors import build_block_star, build_woodall_G0
 from .errors import OracleSizeError, ParameterError
 from .family import ForbiddenFamily, is_family_free
 from .formulas import ex_even_edges, ex_odd
-from .graphs import Graph, count_cliques, count_cliques_in_mask, reach
+from .graphs import Graph, count_cliques, count_cliques_in_mask, reach, twin_class_masks
 from .graph_io import to_graph6
 from .matching import has_matching_of_size
 
@@ -51,47 +61,64 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
 
     Entry j-1 holds the adjacency bits of position j toward positions
     0..j-1 (earlier positions in higher bits), matching graph6 bit order.
+
+    The search places vertices at positions 0, 1, ... and prunes by two
+    rules, neither of which can discard the minimum:
+
+    * only vertices of minimum code are branched on.  The code of an
+      unplaced vertex is its adjacency toward the placed ones, so placing
+      it at position j makes its code entry j-1, and that entry is
+      compared before every later one: a larger code cannot lead to the
+      minimum;
+    * of the unplaced vertices that are twins (masks[u] & ~bit(v) ==
+      masks[v] & ~bit(u): equal open neighborhoods if non-adjacent, equal
+      closed ones if adjacent), only the lowest-labelled is tried.  The
+      transposition of two such vertices is an automorphism that fixes
+      every placed vertex, so their two subtrees yield the same encodings.
+
+    A node whose encoding prefix already exceeds the best one found is cut.
+    Prefixes are kept as one integer (entry j is j bits wide), so a node
+    costs one comparison.
     """
     n = graph.n
     if n <= 1:
         return ()
     masks = graph.adjacency_masks
-    best: list[tuple[int, ...] | None] = [None]
-    used = [False] * n
-    code = [0] * n
-    enc = [0] * n
+    full = (1 << n) - 1
+    open_twins = twin_class_masks(masks, full, n)
+    closed = [m | 1 << v for v, m in enumerate(masks)]
+    twins = [a | b for a, b in zip(open_twins, twin_class_masks(closed, full, n))]
+    width = n * (n - 1) // 2
+    best = -1
 
-    def rec(j: int) -> None:
-        if j == n:
-            cand = tuple(enc[1:])
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
+    def rec(j: int, prefix: int, codes: list[tuple[int, int]]) -> None:
+        # codes: (vertex, code) for the unplaced vertices, by vertex label
+        nonlocal best
+        low_code = min(code for _, code in codes)
+        prefix = (prefix << j) | low_code
+        if best >= 0 and prefix > best >> (width - j * (j + 1) // 2):
             return
-        b = best[0]
-        order = sorted((c for c in range(n) if not used[c]), key=lambda c: code[c])
-        for c in order:
-            if b is not None and j >= 1:
-                prefix = tuple(enc[1:j])
-                cmp_prefix = b[: j - 1]
-                if prefix > cmp_prefix:
-                    return
-                if prefix == cmp_prefix and code[c] > b[j - 1]:
-                    break
-            enc[j] = code[c]
-            used[c] = True
-            saved = code[:]
-            mask_c = masks[c]
-            for other in range(n):
-                if not used[other]:
-                    code[other] = (code[other] << 1) | ((mask_c >> other) & 1)
-            rec(j + 1)
-            code[:] = saved
-            used[c] = False
-            b = best[0]
+        if len(codes) == 1:
+            best = prefix
+            return
+        tried = 0
+        for v, code in codes:
+            if code != low_code or (tried >> v) & 1:
+                continue
+            tried |= twins[v]
+            mask_v = masks[v]
+            rec(
+                j + 1,
+                prefix,
+                [(u, code_u << 1 | (mask_v >> u) & 1) for u, code_u in codes if u != v],
+            )
 
-    rec(0)
-    assert best[0] is not None
-    return best[0]
+    rec(0, 0, [(v, 0) for v in range(n)])
+    enc = []
+    for j in range(n - 1, 0, -1):
+        enc.append(best & ((1 << j) - 1))
+        best >>= j
+    return tuple(reversed(enc))
 
 
 def graph_from_encoding(enc: tuple[int, ...], n: int) -> Graph:

@@ -1,8 +1,11 @@
 import json
 import os
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genturan import (
     ForbiddenFamily,
@@ -22,9 +25,36 @@ from genturan import (
     woodall_bound,
 )
 
-from genturan.oracle import _worker_count
+from genturan.oracle import _worker_count, canonical_encoding
 
 from conftest import random_graph
+
+
+def _minimum_by_permutation_scan(g: Graph) -> str:
+    """Independent oracle: the least graph6 string over all n! relabelings."""
+    return min(to_graph6(g.relabeled(list(p))) for p in permutations(range(g.n)))
+
+
+@st.composite
+def _graphs_with_twin_classes(draw, max_n: int):
+    """A random graph with one vertex blown up into a class of open twins
+    (an independent set) and another into a class of closed twins (a
+    clique), labels shuffled."""
+    n = draw(st.integers(4, max_n))
+    n_open = draw(st.integers(2, n - 2))
+    n_closed = draw(st.integers(2, n - n_open))
+    m = n - n_open - n_closed + 2  # the two blown-up vertices are 0 and 1
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    base = [e for i, e in enumerate(pairs) if (mask >> i) & 1]
+    extra_open = m + n_open - 1
+    copies = {v: [v] for v in range(m)}
+    copies[0] += range(m, extra_open)
+    copies[1] += range(extra_open, n)
+    edges = {(a, b) for u, v in base for a in copies[u] for b in copies[v]}
+    edges |= {(a, b) for a in copies[1] for b in copies[1] if a < b}
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
 
 
 class TestCanonicalForm:
@@ -51,15 +81,30 @@ class TestCanonicalForm:
         )
 
     def test_minimality_against_permutation_scan(self):
-        from itertools import permutations
-
         rng = random.Random(9)
         for _ in range(20):
             g = random_graph(rng, 5, 0.5)
-            best = min(
-                to_graph6(g.relabeled(list(p))) for p in permutations(range(5))
-            )
-            assert canonical_graph6(g) == best
+            assert canonical_graph6(g) == _minimum_by_permutation_scan(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graphs_with_twin_classes(max_n=7))
+    def test_twin_classes_against_permutation_scan(self, g):
+        assert canonical_graph6(g) == _minimum_by_permutation_scan(g)
+
+    def test_atlas_graphs_on_seven_vertices(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(7)
+        keys = set()
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() != 7:
+                continue
+            g = Graph(7, h.edges())
+            key = canonical_encoding(g)
+            perm = list(range(7))
+            rng.shuffle(perm)
+            assert canonical_encoding(g.relabeled(perm)) == key
+            keys.add(key)
+        assert len(keys) == 1044
 
 
 class TestEnumerateFamilyFree:
