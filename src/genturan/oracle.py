@@ -10,6 +10,19 @@ the still-addable edges can contribute falls strictly below the best
 known value.  Verified library constructions seed that best value, so
 the search mostly certifies optimality instead of discovering it.
 
+The freeness test for an include is incremental, by two rules.  First,
+the search carries the matching number nu of the current graph G, and
+nu(G + uv) = nu + 1 iff G - u - v has a matching of size nu, because a
+matching of size nu + 1 in G + uv must use uv; so one test on G decides
+both whether uv is rejected (nu = s) and the new nu.  Second, "no u..v
+path on >= k_c vertices" is inherited by subgraphs, since every path of
+a subgraph is a path of the graph.  Each node returns the edges found
+free of such a path on its graph or on the supergraphs below it, and
+its exclude branch, which stays on the same graph, skips the long-cycle
+test for them.  The answers never flow into an include branch, whose
+graph is a supergraph.  This is the dual of the addable mask, which
+carries rejections down into supergraphs.
+
 The first few edge decisions are split into fixed chunks.  Chunks are
 searched independently (serially or on a process pool) and merged in
 chunk order, so maxima, witness sets and the examined counter are
@@ -79,6 +92,12 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
     A node whose encoding prefix already exceeds the best one found is cut.
     Prefixes are kept as one integer (entry j is j bits wide), so a node
     costs one comparison.
+
+    There is no size limit or budget, and the time is exponential on
+    sparse graphs without twins: minimum codes place an independent set
+    first, and a long cycle has very many orderings of one (the cycle C_n
+    takes 0.35 s at n = 14, 3.15 s at n = 16, over 40 s at n = 20).  The
+    oracle calls it only for n <= 8.
     """
     n = graph.n
     if n <= 1:
@@ -132,10 +151,14 @@ def graph_from_encoding(enc: tuple[int, ...], n: int) -> Graph:
 
 
 def canonical_graph(graph: Graph) -> Graph:
+    """The relabeling of graph with the minimal encoding.  Exponential on
+    sparse graphs without twins, with no limit: see canonical_encoding."""
     return graph_from_encoding(canonical_encoding(graph), graph.n)
 
 
 def canonical_graph6(graph: Graph) -> str:
+    """The minimal graph6 string over all relabelings.  Exponential on
+    sparse graphs without twins, with no limit: see canonical_encoding."""
     return to_graph6(canonical_graph(graph))
 
 
@@ -245,22 +268,34 @@ def _exists_long_path(
     return rec(u, 1 << u, 1)
 
 
-def _edge_feasible(
-    masks: list[int], u: int, v: int, k_c: int | None, s: int | None, n: int
-) -> bool:
-    """Does adding (u, v) keep the graph family-free?  masks is the graph
-    without the edge."""
+def _nu_with_edge(
+    masks: list[int], u: int, v: int, nu: int, s: int | None, n: int
+) -> int:
+    """The matching number of G + uv, or -1 when it exceeds s.  masks is G,
+    nu its matching number (not tracked, and returned as is, when s is
+    None).  A matching of size nu + 1 in G + uv must use uv, so the number
+    grows iff G - u - v has a matching of size nu."""
+    if s is None:
+        return nu
+    if has_matching_of_size(masks, ((1 << n) - 1) & ~(1 << u | 1 << v), nu):
+        return -1 if nu == s else nu + 1
+    return nu
+
+
+def _include_step(
+    masks: list[int],
+    u: int,
+    v: int,
+    k_c: int | None,
+    s: int | None,
+    nu: int,
+    n: int,
+) -> int:
+    """The matching number of G + uv if adding (u, v) keeps the family-free
+    graph G family-free, else -1.  masks is G, nu its matching number."""
     if k_c is not None and _exists_long_path(masks, u, v, k_c, n):
-        return False
-    if s is not None:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        bad = has_matching_of_size(masks, (1 << n) - 1, s + 1)
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        if bad:
-            return False
-    return True
+        return -1
+    return _nu_with_edge(masks, u, v, nu, s, n)
 
 
 def _search_chunk(
@@ -284,10 +319,12 @@ def _search_chunk(
     m = len(edges)
     masks = [0] * n
     nr = 0
+    nu = 0
     for i in range(chunk_edges):
         if (chunk_id >> i) & 1:
             u, v = edges[i]
-            if not _edge_feasible(masks, u, v, k_c, s, n):
+            nu = _include_step(masks, u, v, k_c, s, nu, n)
+            if nu < 0:
                 return -1, [], 0
             nr += count_cliques_in_mask(masks, masks[u] & masks[v], r - 2)
             masks[u] |= 1 << v
@@ -298,12 +335,18 @@ def _search_chunk(
     witnesses: dict[str, None] = {}
     examined = 0
 
-    def dfs(idx: int, cur: int, addable: int) -> None:
+    def dfs(idx: int, cur: int, addable: int, nu: int, no_long: int) -> int:
+        # nu: the matching number of the current graph G.  no_long: edges
+        # uv with no u..v path on >= k_c vertices in G.  Returns no_long
+        # grown by those found at or below this node.  Every node below is
+        # at a supergraph of G, where every path of G still runs, so what
+        # holds there holds in G; not conversely, so no_long never flows
+        # into an include child.
         nonlocal best, examined
         examined += 1
         if idx == m:
             if cur < best:
-                return
+                return no_long
             check = count_cliques_in_mask(masks, (1 << n) - 1, r) if r >= 3 else cur
             assert check == cur, "incremental clique count diverged"
             if cur > best:
@@ -312,24 +355,32 @@ def _search_chunk(
             if len(witnesses) < witness_cap:
                 g6 = canonical_graph6(Graph.from_adjacency_masks(list(masks)))
                 witnesses.setdefault(g6, None)
-            return
+            return no_long
         if cur + (addable >> idx).bit_count() * per_edge < best:
-            return
+            return no_long
         bit = 1 << idx
         if addable & bit:
             u, v = edges[idx]
-            if _edge_feasible(masks, u, v, k_c, s, n):
+            grown = -1
+            if (
+                k_c is None
+                or no_long & bit
+                or not _exists_long_path(masks, u, v, k_c, n)
+            ):
+                no_long |= bit
+                grown = _nu_with_edge(masks, u, v, nu, s, n)
+            if grown >= 0:
                 delta = count_cliques_in_mask(masks, masks[u] & masks[v], r - 2)
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-                dfs(idx + 1, cur + delta, addable)
+                no_long |= dfs(idx + 1, cur + delta, addable, grown, 0)
                 masks[u] &= ~(1 << v)
                 masks[v] &= ~(1 << u)
             else:
                 addable &= ~bit
-        dfs(idx + 1, cur, addable)
+        return dfs(idx + 1, cur, addable, nu, no_long)
 
-    dfs(chunk_edges, nr, (1 << m) - 1)
+    dfs(chunk_edges, nr, (1 << m) - 1, nu, 0)
     return best, list(witnesses), examined
 
 

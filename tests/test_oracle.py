@@ -4,7 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genturan import (
@@ -25,7 +25,9 @@ from genturan import (
     woodall_bound,
 )
 
-from genturan.oracle import _worker_count, canonical_encoding
+from genturan.cycles import circumference_by_enumeration
+from genturan.matching import max_matching_by_enumeration
+from genturan.oracle import _include_step, _worker_count, canonical_encoding
 
 from conftest import random_graph
 
@@ -55,6 +57,29 @@ def _graphs_with_twin_classes(draw, max_n: int):
     edges |= {(a, b) for a in copies[1] for b in copies[1] if a < b}
     perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@st.composite
+def _family_free_graphs_with_non_edge(draw, max_n: int):
+    """(G, k_c, s, u, v): G family-free for cycles of length >= k_c and
+    matchings of size s + 1, grown by trying drawn pairs in a drawn order
+    and keeping each that leaves it family-free (checked by
+    is_family_free); uv a non-edge of G."""
+    n = draw(st.integers(2, max_n))
+    k_c = draw(st.integers(3, n + 1))
+    s = draw(st.integers(0, n // 2))
+    family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s)
+    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    tried = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n)
+    for pair, attempt in zip(pairs, tried):
+        h = Graph(n, list(g.edges()) + [pair])
+        if attempt and is_family_free(h, family):
+            g = h
+    non_edges = [(u, v) for u, v in pairs if not g.has_edge(u, v)]
+    assume(non_edges)
+    u, v = draw(st.sampled_from(non_edges))
+    return g, k_c, s, u, v
 
 
 class TestCanonicalForm:
@@ -136,6 +161,45 @@ class TestEnumerateFamilyFree:
 
 
 class TestBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(_family_free_graphs_with_non_edge(max_n=9))
+    def test_include_step_against_enumeration(self, case):
+        # the search's step for one include: G family-free with matching
+        # number nu; it must reject uv exactly when G + uv has a long cycle
+        # or a matching of size s + 1, and otherwise return nu(G + uv)
+        g, k_c, s, u, v = case
+        masks = list(g.adjacency_masks)
+        nu = max_matching_by_enumeration(g)
+        step = _include_step(masks, u, v, k_c, s, nu, g.n)
+        assert masks == list(g.adjacency_masks)
+        h = Graph(g.n, list(g.edges()) + [(u, v)])
+        nu_h = max_matching_by_enumeration(h)
+        rejected = circumference_by_enumeration(h) >= k_c or nu_h > s
+        assert (step < 0) == rejected
+        if not rejected:
+            assert step == nu_h
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([None, 3, 4, 5, 6, 7]),
+        st.sampled_from([None, 0, 1, 2, 3]),
+        st.integers(2, 4),
+    )
+    def test_search_against_enumeration(self, n, k_c, s, r):
+        # the labelled search against the isomorphism-free engine: same
+        # maximum and the same set of maximising classes
+        family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s, clique_order=r)
+        res = brute_force_ex(n, family)
+        counts = {
+            to_graph6(g): count_cliques(g, r) for g in enumerate_family_free(n, family)
+        }
+        best = max(counts.values())
+        maximisers = {g6 for g6, c in counts.items() if c == best}
+        assert res.max_count == best
+        assert set(res.witnesses) <= maximisers
+        assert len(res.witnesses) == min(len(maximisers), 100)
+
     def test_matching_only_small_values(self):
         assert brute_force_ex(5, ForbiddenFamily(matching_bound=1)).max_count == 4
         assert brute_force_ex(6, ForbiddenFamily(matching_bound=2)).max_count == 10
@@ -213,6 +277,52 @@ class TestBruteForce:
         data = json.loads(json.dumps(res.to_json(stable=True)))
         assert set(data) == {"n", "family", "max", "witnesses", "examined"}
         assert "elapsed_ms" in res.to_json()
+
+
+# brute_force_ex(...).to_json(stable=True) recorded before the family tests
+# in the search became incremental: max, witnesses in discovery order and
+# examined must not move.
+_GOLDEN = [
+    (7, dict(cycle_min_len=5, matching_bound=5), 1, 12, ["FJaNw"], 109467),
+    (
+        7,
+        dict(cycle_min_len=4, matching_bound=2),
+        1,
+        7,
+        ["F??Nw", "F??^W", "F??}W", "F?C^G"],
+        66791,
+    ),
+    (
+        6,
+        dict(cycle_min_len=5, matching_bound=3, clique_order=3),
+        1,
+        5,
+        ["EJbw"],
+        27436,
+    ),
+    (7, dict(matching_bound=2), 1, 11, ["F?B~w"], 56704),
+    (
+        6,
+        dict(cycle_min_len=4, matching_bound=2),
+        2,
+        6,
+        ["E@Pw", "E?NW", "E@NG", "E?Fw", "EJaG"],
+        9002,
+    ),
+]
+
+
+@pytest.mark.parametrize("n, kwargs, jobs, best, witnesses, examined", _GOLDEN)
+def test_golden_outputs(n, kwargs, jobs, best, witnesses, examined):
+    family = ForbiddenFamily(**kwargs)
+    data = brute_force_ex(n, family, jobs=jobs).to_json(stable=True)
+    assert data == {
+        "n": n,
+        "family": family.to_json(),
+        "max": best,
+        "witnesses": witnesses,
+        "examined": examined,
+    }
 
 
 class TestVerifyFormulaRegion:
