@@ -3,8 +3,9 @@
 
 The closed forms are exact only once n is large enough.  At small n the
 exhaustive oracle is the authority: it maximizes the clique count over
-every labeled family-free graph (n <= 8) with a pruned edge-decision
-search, and reports canonical extremal witnesses.
+every family-free graph (n <= 8), grown one vertex at a time once per
+isomorphism class, and reports canonical extremal witnesses.  A region
+probe's first agreement holds within the probed range only.
 
 The classic cautionary instance: forbid cycles of length >= 5 and
 matchings of size 6 on 7 vertices.  The formula witness (a dominated
@@ -49,7 +50,8 @@ for (k, s, parity) in [(2, 2, "even"), (2, 5, "odd")]:
         warn = " (below threshold)" if row.below_threshold else ""
         print(f"    n={row.n}: oracle={row.oracle_value} "
               f"formula={row.formula_value} {mark}{warn}")
-    print(f"    first agreement onward: {report.first_agreement_n}")
+    print(f"    first agreement onward (probed range only): "
+          f"{report.first_agreement_n}")
     print()
 
 print("=" * 70)

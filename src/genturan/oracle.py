@@ -1,32 +1,23 @@
 """Exhaustive ground truth for small orders.
 
-brute_force_ex maximizes the K_r count over every labeled family-free
-graph on n vertices (n <= 8).  The search walks the edge-index space as
-a branch-and-bound: edges are decided include-first in lexicographic
-order, an include is attempted only while the graph stays family-free
-(freeness is inherited by subgraphs, so pruned inclusions stay pruned),
-and a branch is cut when the current count plus an upper bound on what
-the still-addable edges can contribute falls strictly below the best
-known value.  Verified library constructions seed that best value, so
-the search mostly certifies optimality instead of discovering it.
+One engine answers every question here: a vertex-growth enumeration of
+the family-free graphs on n <= 8 vertices, once per isomorphism class
+(in the spirit of McKay, Isomorph-free exhaustive generation, J.
+Algorithms 1998).  Freeness is inherited by induced subgraphs, so every
+family-free graph on `size` vertices is a one-vertex extension of a
+family-free class on size - 1 vertices; each level tries every
+neighbourhood of the new vertex over every class of the level below and
+keeps the canonical forms of the family-free extensions.
+enumerate_family_free returns the classes of the last level.
 
-The freeness test for an include is incremental, by two rules.  First,
-the search carries the matching number nu of the current graph G, and
-nu(G + uv) = nu + 1 iff G - u - v has a matching of size nu, because a
-matching of size nu + 1 in G + uv must use uv; so one test on G decides
-both whether uv is rejected (nu = s) and the new nu.  Second, "no u..v
-path on >= k_c vertices" is inherited by subgraphs, since every path of
-a subgraph is a path of the graph.  Each node returns the edges found
-free of such a path on its graph or on the supergraphs below it, and
-its exclude branch, which stays on the same graph, skips the long-cycle
-test for them.  The answers never flow into an include branch, whose
-graph is a supergraph.  This is the dual of the addable mask, which
-carries rejections down into supergraphs.
-
-The first few edge decisions are split into fixed chunks.  Chunks are
-searched independently (serially or on a process pool) and merged in
-chunk order, so maxima, witness sets and the examined counter are
-identical regardless of parallelism.
+brute_force_ex grows the classes to n - 1 vertices and streams the
+one-vertex extensions of each of them without keeping the last level.
+The K_r count of an extension is the parent's count plus the (r-1)-cliques
+in the new vertex's neighbourhood; an extension below the best count seen
+so far is dropped before its family check, and only the family-free
+extensions that reach it are canonicalised.  Parents are split over
+processes for jobs > 1 and the results merged as sets, so maxima, witness
+sets and the examined counter are identical regardless of parallelism.
 
 Witnesses are reported in canonical form: the lexicographically minimal
 adjacency bit encoding over all vertex permutations, which is also the
@@ -49,20 +40,21 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
-from .constructors import build_block_star, build_woodall_G0
 from .errors import OracleSizeError, ParameterError
 from .family import ForbiddenFamily, is_family_free
 from .formulas import ex_even_edges, ex_odd
-from .graphs import Graph, count_cliques, count_cliques_in_mask, reach, twin_class_masks
+from .graphs import Graph, count_cliques, count_cliques_in_mask, twin_class_masks
 from .graph_io import to_graph6
-from .matching import has_matching_of_size
+
+# perfbench/tracer.py rebinds these names in this module, which does not
+# call them; they stay importable so that its bindings resolve
+from .constructors import build_block_star, build_woodall_G0  # noqa: F401
+from .matching import has_matching_of_size  # noqa: F401
 
 _ORACLE_LIMIT = 8
 _WITNESS_CAP = 100
-_CHUNK_EDGES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -176,32 +168,48 @@ def enumerate_family_free(
     deduplication at each level.  Yields canonical graphs in encoding
     order.  Limited to n <= 8.
     """
+    _check_order(n, "family-free enumeration")
+    yield from _grow_classes(n, family, connected_only)[0]
+
+
+def _check_order(n: int, what: str) -> None:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if n > _ORACLE_LIMIT:
         raise OracleSizeError(
-            f"family-free enumeration handles n <= {_ORACLE_LIMIT}, got n={n}"
+            f"{what} handles n <= {_ORACLE_LIMIT}, got n={n}; "
+            "use the formula modules beyond that"
         )
-    level = [Graph(1)]
-    for size in range(2, n + 1):
-        seen: dict[tuple[int, ...], None] = {}
-        low = 1 if connected_only else 0
+
+
+def _grow_classes(
+    n: int, family: ForbiddenFamily, connected_only: bool = False
+) -> tuple[list[Graph], int]:
+    """The canonical family-free graphs on n >= 0 vertices in encoding
+    order, and the one-vertex extensions tried to grow them."""
+    level = [Graph(0)]
+    tried = 0
+    for size in range(1, n + 1):
+        low = 1 if connected_only and size > 1 else 0
+        seen: set[tuple[int, ...]] = set()
         for g in level:
             base = g.adjacency_masks
-            new_bit = 1 << (size - 1)
             for nbr in range(low, 1 << (size - 1)):
-                masks = [
-                    m | new_bit if (nbr >> v) & 1 else m for v, m in enumerate(base)
-                ]
-                masks.append(nbr)
-                h = Graph.from_adjacency_masks(masks)
-                if not is_family_free(h, family):
-                    continue
-                key = canonical_encoding(h)
-                if key not in seen:
-                    seen[key] = None
+                h = _extend(base, nbr)
+                if is_family_free(h, family):
+                    seen.add(canonical_encoding(h))
+        tried += len(level) * ((1 << (size - 1)) - low)
         level = [graph_from_encoding(key, size) for key in sorted(seen)]
-    yield from level
+    return level, tried
+
+
+def _extend(base: tuple[int, ...], nbr: int) -> Graph:
+    """The graph with adjacency masks base plus one new vertex, labelled
+    len(base), joined to the vertices in the mask nbr."""
+    new_bit = 1 << len(base)
+    masks = [m | new_bit if (nbr >> v) & 1 else m for v, m in enumerate(base)]
+    masks.append(nbr)
+    return Graph.from_adjacency_masks(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +220,10 @@ def enumerate_family_free(
 class OracleResult:
     """Exact maximum with deduplicated canonical witnesses.
 
-    examined counts search-tree nodes and is independent of parallelism;
-    elapsed_ms is wall clock and is the only volatile field.
+    examined counts the one-vertex extensions tried, summed over all
+    levels of the vertex growth (0 when K_n itself is family-free), and
+    is independent of parallelism; elapsed_ms is wall clock and is the
+    only volatile field.
     """
 
     n: int
@@ -236,260 +246,85 @@ class OracleResult:
         return data
 
 
-def _exists_long_path(
-    masks: list[int], u: int, v: int, min_vertices: int, n: int
-) -> bool:
-    """Is there a simple u..v path on >= min_vertices vertices (v excluded
-    from the interior)?  Used to detect a long cycle through a new edge."""
-    vbit = 1 << v
-    full = (1 << n) - 1
-
-    def rec(cur: int, visited: int, length: int) -> bool:
-        if (masks[cur] >> v) & 1 and length + 1 >= min_vertices:
-            return True
-        allowed = full & ~visited & ~vbit
-        cand = masks[cur] & allowed
-        if not cand:
-            return False
-        reachable = reach(masks, allowed, cand)
-        if not (reachable & masks[v]) and not ((masks[cur] >> v) & 1):
-            return False
-        if length + reachable.bit_count() + 1 < min_vertices:
-            return False
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length() - 1
-            if rec(w, visited | low, length + 1):
-                return True
-        return False
-
-    return rec(u, 1 << u, 1)
-
-
-def _nu_with_edge(
-    masks: list[int], u: int, v: int, nu: int, s: int | None, n: int
-) -> int:
-    """The matching number of G + uv, or -1 when it exceeds s.  masks is G,
-    nu its matching number (not tracked, and returned as is, when s is
-    None).  A matching of size nu + 1 in G + uv must use uv, so the number
-    grows iff G - u - v has a matching of size nu."""
-    if s is None:
-        return nu
-    if has_matching_of_size(masks, ((1 << n) - 1) & ~(1 << u | 1 << v), nu):
-        return -1 if nu == s else nu + 1
-    return nu
-
-
-def _include_step(
-    masks: list[int],
-    u: int,
-    v: int,
-    k_c: int | None,
-    s: int | None,
-    nu: int,
-    n: int,
-) -> int:
-    """The matching number of G + uv if adding (u, v) keeps the family-free
-    graph G family-free, else -1.  masks is G, nu its matching number."""
-    if k_c is not None and _exists_long_path(masks, u, v, k_c, n):
-        return -1
-    return _nu_with_edge(masks, u, v, nu, s, n)
-
-
-def _search_chunk(
-    n: int,
-    family: ForbiddenFamily,
-    edges: list[tuple[int, int]],
-    chunk_id: int,
-    chunk_edges: int,
-    initial_best: int,
-    witness_cap: int,
-) -> tuple[int, list[str], int]:
-    """Exhaust one chunk of the edge-decision space.
-
-    Returns (local max, canonical witnesses in discovery order, nodes
-    examined).  A chunk whose forced prefix is infeasible returns
-    (-1, [], 0).
-    """
-    k_c = family.cycle_min_len
-    s = family.matching_bound
-    r = family.clique_order
-    m = len(edges)
-    masks = [0] * n
-    nr = 0
-    nu = 0
-    for i in range(chunk_edges):
-        if (chunk_id >> i) & 1:
-            u, v = edges[i]
-            nu = _include_step(masks, u, v, k_c, s, nu, n)
-            if nu < 0:
-                return -1, [], 0
-            nr += count_cliques_in_mask(masks, masks[u] & masks[v], r - 2)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-
-    per_edge = comb(n - 2, r - 2) if n >= 2 else 0
-    best = initial_best
-    witnesses: dict[str, None] = {}
-    examined = 0
-
-    def dfs(idx: int, cur: int, addable: int, nu: int, no_long: int) -> int:
-        # nu: the matching number of the current graph G.  no_long: edges
-        # uv with no u..v path on >= k_c vertices in G.  Returns no_long
-        # grown by those found at or below this node.  Every node below is
-        # at a supergraph of G, where every path of G still runs, so what
-        # holds there holds in G; not conversely, so no_long never flows
-        # into an include child.
-        nonlocal best, examined
-        examined += 1
-        if idx == m:
-            if cur < best:
-                return no_long
-            check = count_cliques_in_mask(masks, (1 << n) - 1, r) if r >= 3 else cur
-            assert check == cur, "incremental clique count diverged"
-            if cur > best:
-                best = cur
-                witnesses.clear()
-            if len(witnesses) < witness_cap:
-                g6 = canonical_graph6(Graph.from_adjacency_masks(list(masks)))
-                witnesses.setdefault(g6, None)
-            return no_long
-        if cur + (addable >> idx).bit_count() * per_edge < best:
-            return no_long
-        bit = 1 << idx
-        if addable & bit:
-            u, v = edges[idx]
-            grown = -1
-            if (
-                k_c is None
-                or no_long & bit
-                or not _exists_long_path(masks, u, v, k_c, n)
-            ):
-                no_long |= bit
-                grown = _nu_with_edge(masks, u, v, nu, s, n)
-            if grown >= 0:
-                delta = count_cliques_in_mask(masks, masks[u] & masks[v], r - 2)
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-                no_long |= dfs(idx + 1, cur + delta, addable, grown, 0)
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-            else:
-                addable &= ~bit
-        return dfs(idx + 1, cur, addable, nu, no_long)
-
-    dfs(chunk_edges, nr, (1 << m) - 1, nu, 0)
-    return best, list(witnesses), examined
-
-
-def _seed_value(n: int, family: ForbiddenFamily) -> int:
-    """Best K_r count among verified library constructions of order n.
-
-    Every candidate is checked family-free before use, so the value is a
-    true lower bound and the search will rediscover it as a leaf.
-    """
-    k_c = family.cycle_min_len
-    s = family.matching_bound
-    r = family.clique_order
-    candidates: list[Graph] = []
-    cap = n
-    if k_c is not None:
-        cap = min(cap, k_c - 1)
-        if k_c >= 3:
-            candidates.append(build_woodall_G0(n, k_c))
-    if s is not None:
-        cap = min(cap, 2 * s + 1)
-    clique_part = Graph.complete(cap)
-    candidates.append(
-        Graph(n, list(clique_part.edges()))
-    )
-    if k_c is not None and s is not None:
-        if k_c % 2 == 0 and k_c >= 4 and s >= k_c // 2 - 1:
-            try:
-                candidates.append(build_block_star(ex_even_edges(n, k_c // 2, s).witness))
-            except ParameterError:
-                pass
-        if k_c % 2 == 1 and k_c >= 5:
-            k = (k_c - 1) // 2
-            if s >= 2 * k + 1 and r <= k + 1:
-                try:
-                    candidates.append(build_block_star(ex_odd(n, k, s, r).witness))
-                except ParameterError:
-                    pass
-    best = 0
-    for g in candidates:
-        if g.n == n and is_family_free(g, family):
-            best = max(best, count_cliques(g, r))
-    return best
-
-
-def brute_force_ex(
-    n: int,
-    family: ForbiddenFamily,
-    *,
-    jobs: int = 1,
-    witness_cap: int = _WITNESS_CAP,
-) -> OracleResult:
+def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleResult:
     """Exact max of the K_r count over all family-free graphs on n
-    labeled vertices, with canonical witnesses (at most witness_cap).
+    vertices, with the sorted canonical graph6 strings of the maximising
+    classes as witnesses (at most _WITNESS_CAP, the least ones).
 
-    n <= 8 only; n = 8 relies on the branch-and-bound pruning.  Results
-    (including the examined counter) are identical for any jobs value.
+    n <= 8 only.  Results (including the examined counter) are identical
+    for any jobs value.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if n > _ORACLE_LIMIT:
-        raise OracleSizeError(
-            f"brute_force_ex handles n <= {_ORACLE_LIMIT}, got n={n}; "
-            "use the formula modules beyond that"
-        )
+    _check_order(n, "brute_force_ex")
     start = time.perf_counter()
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(edges)
-    chunk_edges = min(_CHUNK_EDGES, m)
-    seed = _seed_value(n, family)
-    args = [
-        (n, family, edges, chunk_id, chunk_edges, seed, witness_cap)
-        for chunk_id in range(1 << chunk_edges)
-    ]
-    workers = _worker_count(jobs, len(args))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_chunk_args, args, chunksize=4))
+    r = family.clique_order
+    complete = Graph.complete(n)
+    if n >= r and is_family_free(complete, family):
+        # every edge of K_n lies in C(n-2, r-2) >= 1 copies of K_r, so any
+        # other graph on n vertices has fewer: K_n is the unique maximiser
+        best = count_cliques(complete, r)
+        witnesses, examined = [to_graph6(complete)], 0
     else:
-        results = [_search_chunk_args(a) for a in args]
+        parents, examined = _grow_classes(n - 1, family)
+        examined += len(parents) << (n - 1)
+        # dense parents first, so the best count rises early and most
+        # extensions are dropped before their family check
+        parents.reverse()
+        workers = _worker_count(jobs, len(parents))
+        shares = [parents[i::workers] for i in range(workers)]
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    best = max(r[0] for r in results)
-    best = max(best, seed)
-    witnesses: dict[str, None] = {}
-    for local_best, local_witnesses, _ in results:
-        if local_best == best:
-            for g6 in local_witnesses:
-                witnesses.setdefault(g6, None)
-    examined = sum(r[2] for r in results)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(
+                    pool.map(_best_extensions, shares, [family] * workers)
+                )
+        else:
+            results = [_best_extensions(shares[0], family)]
+        best = max(local_best for local_best, _ in results)
+        witnesses = sorted(
+            {g6 for local_best, found in results if local_best == best for g6 in found}
+        )[:_WITNESS_CAP]
     return OracleResult(
         n=n,
         family=family,
         max_count=best,
-        witnesses=tuple(list(witnesses)[:witness_cap]),
+        witnesses=tuple(witnesses),
         examined=examined,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
-def _worker_count(jobs: int, chunks: int) -> int:
+def _best_extensions(
+    parents: list[Graph], family: ForbiddenFamily
+) -> tuple[int, list[str]]:
+    """The largest K_r count over the family-free one-vertex extensions of
+    parents, and the least _WITNESS_CAP canonical graph6 strings of the
+    extensions that reach it."""
+    r = family.clique_order
+    best = -1
+    maximisers: set[str] = set()
+    for parent in parents:
+        base = parent.adjacency_masks
+        inherited = count_cliques(parent, r)
+        # largest neighbourhoods first, for the same reason as dense parents
+        for nbr in range((1 << parent.n) - 1, -1, -1):
+            count = inherited + count_cliques_in_mask(base, nbr, r - 1)
+            if count < best:
+                continue
+            h = _extend(base, nbr)
+            if not is_family_free(h, family):
+                continue
+            if count > best:
+                best = count
+                maximisers.clear()
+            maximisers.add(canonical_graph6(h))
+    return best, sorted(maximisers)[:_WITNESS_CAP]
+
+
+def _worker_count(jobs: int, parents: int) -> int:
     """Worker processes for `jobs` requested: at least one, and no more
-    than there are chunks to search or CPUs to run them."""
-    return max(1, min(jobs, chunks, os.cpu_count() or 1))
-
-
-def _search_chunk_args(args: tuple) -> tuple[int, list[str], int]:
-    return _search_chunk(*args)
+    than there are parent classes to extend or CPUs to run them."""
+    return max(1, min(jobs, parents, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +344,11 @@ class RegionRow:
 class RegionReport:
     """Oracle-vs-formula comparison across a range of n.
 
-    first_agreement_n is the smallest n such that oracle and formula
-    agree there and at every larger probed n; None when the largest
-    probed n still disagrees.
+    first_agreement_n is the smallest probed n such that oracle and
+    formula agree there and at every larger probed n; None when the
+    largest probed n still disagrees.  It is relative to the probed range
+    only and implies nothing about larger n: for (C>=5, nu<=5, K_2) it is
+    8 on range(4, 9), yet build_woodall_G0 beats ex_odd at n = 10 and 13.
     """
 
     k: int

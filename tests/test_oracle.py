@@ -1,10 +1,11 @@
 import json
 import os
 import random
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genturan import (
@@ -27,7 +28,7 @@ from genturan import (
 
 from genturan.cycles import circumference_by_enumeration
 from genturan.matching import max_matching_by_enumeration
-from genturan.oracle import _include_step, _worker_count, canonical_encoding
+from genturan.oracle import _worker_count, canonical_encoding
 
 from conftest import random_graph
 
@@ -59,27 +60,28 @@ def _graphs_with_twin_classes(draw, max_n: int):
     return Graph(n, [(perm[a], perm[b]) for a, b in edges])
 
 
-@st.composite
-def _family_free_graphs_with_non_edge(draw, max_n: int):
-    """(G, k_c, s, u, v): G family-free for cycles of length >= k_c and
-    matchings of size s + 1, grown by trying drawn pairs in a drawn order
-    and keeping each that leaves it family-free (checked by
-    is_family_free); uv a non-edge of G."""
-    n = draw(st.integers(2, max_n))
-    k_c = draw(st.integers(3, n + 1))
-    s = draw(st.integers(0, n // 2))
-    family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s)
-    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
-    tried = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph(n)
-    for pair, attempt in zip(pairs, tried):
-        h = Graph(n, list(g.edges()) + [pair])
-        if attempt and is_family_free(h, family):
-            g = h
-    non_edges = [(u, v) for u, v in pairs if not g.has_edge(u, v)]
-    assume(non_edges)
-    u, v = draw(st.sampled_from(non_edges))
-    return g, k_c, s, u, v
+@cache
+def _labelled_graphs(n: int) -> list[tuple[Graph, int, int]]:
+    """Every labelled graph on n vertices with its circumference and
+    matching number, both found by enumeration."""
+    pairs = list(combinations(range(n), 2))
+    graphs = []
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [pair for i, pair in enumerate(pairs) if (mask >> i) & 1])
+        graphs.append(
+            (g, circumference_by_enumeration(g), max_matching_by_enumeration(g))
+        )
+    return graphs
+
+
+def _cliques_by_subsets(g: Graph, r: int) -> int:
+    return sum(
+        all(g.has_edge(u, v) for u, v in combinations(subset, 2))
+        for subset in combinations(range(g.n), r)
+    )
+
+
+_class_by_scan = cache(_minimum_by_permutation_scan)
 
 
 class TestCanonicalForm:
@@ -161,44 +163,28 @@ class TestEnumerateFamilyFree:
 
 
 class TestBruteForce:
-    @settings(max_examples=60, deadline=None)
-    @given(_family_free_graphs_with_non_edge(max_n=9))
-    def test_include_step_against_enumeration(self, case):
-        # the search's step for one include: G family-free with matching
-        # number nu; it must reject uv exactly when G + uv has a long cycle
-        # or a matching of size s + 1, and otherwise return nu(G + uv)
-        g, k_c, s, u, v = case
-        masks = list(g.adjacency_masks)
-        nu = max_matching_by_enumeration(g)
-        step = _include_step(masks, u, v, k_c, s, nu, g.n)
-        assert masks == list(g.adjacency_masks)
-        h = Graph(g.n, list(g.edges()) + [(u, v)])
-        nu_h = max_matching_by_enumeration(h)
-        rejected = circumference_by_enumeration(h) >= k_c or nu_h > s
-        assert (step < 0) == rejected
-        if not rejected:
-            assert step == nu_h
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 6),
-        st.sampled_from([None, 3, 4, 5, 6, 7]),
-        st.sampled_from([None, 0, 1, 2, 3]),
-        st.integers(2, 4),
-    )
-    def test_search_against_enumeration(self, n, k_c, s, r):
-        # the labelled search against the isomorphism-free engine: same
-        # maximum and the same set of maximising classes
-        family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s, clique_order=r)
-        res = brute_force_ex(n, family)
-        counts = {
-            to_graph6(g): count_cliques(g, r) for g in enumerate_family_free(n, family)
-        }
-        best = max(counts.values())
-        maximisers = {g6 for g6, c in counts.items() if c == best}
-        assert res.max_count == best
-        assert set(res.witnesses) <= maximisers
-        assert len(res.witnesses) == min(len(maximisers), 100)
+    def test_search_against_enumeration(self):
+        # every labelled graph on n <= 5 vertices, freeness decided by
+        # exhaustive circumference and matching number, K_r counted over
+        # vertex subsets: the same maximum and the same maximising classes
+        for n in range(1, 6):
+            for k_c in (None, 3, 4, 5, 6):
+                for s in (None, 0, 1, 2):
+                    for r in (2, 3, 4):
+                        family = ForbiddenFamily(
+                            cycle_min_len=k_c, matching_bound=s, clique_order=r
+                        )
+                        counts = [
+                            (g, _cliques_by_subsets(g, r))
+                            for g, circumference, nu in _labelled_graphs(n)
+                            if (k_c is None or circumference < k_c)
+                            and (s is None or nu <= s)
+                        ]
+                        best = max(c for _, c in counts)
+                        classes = {_class_by_scan(g) for g, c in counts if c == best}
+                        res = brute_force_ex(n, family)
+                        assert res.max_count == best, family
+                        assert res.witnesses == tuple(sorted(classes)), family
 
     def test_matching_only_small_values(self):
         assert brute_force_ex(5, ForbiddenFamily(matching_bound=1)).max_count == 4
@@ -207,8 +193,17 @@ class TestBruteForce:
         assert res.max_count == 11 == ex_matching_only(7, 2)
 
     def test_all_graphs_regime(self):
-        # with s = 3 every graph on 7 vertices qualifies
-        assert brute_force_ex(7, ForbiddenFamily(matching_bound=3)).max_count == 21
+        # with s = 3 every graph on 7 vertices qualifies, and K_7 is the
+        # only maximiser
+        res = brute_force_ex(7, ForbiddenFamily(matching_bound=3))
+        assert res.max_count == 21
+        assert res.witnesses == (to_graph6(Graph.complete(7)),)
+        # with fewer than r vertices no graph has a K_r: every class ties at 0
+        res = brute_force_ex(3, ForbiddenFamily(clique_order=4))
+        assert res.max_count == 0
+        assert res.witnesses == tuple(
+            sorted({_class_by_scan(g) for g, _, _ in _labelled_graphs(3)})
+        )
 
     def test_forbidding_all_cycles_gives_spanning_star(self):
         # forests with nu <= s: the star attains n-1 edges for any s >= 1
@@ -250,12 +245,11 @@ class TestBruteForce:
             assert count_cliques(g, fam.clique_order) == res.max_count
 
     def test_serial_parallel_identical(self):
-        fam = ForbiddenFamily(cycle_min_len=4, matching_bound=2)
-        serial = brute_force_ex(6, fam, jobs=1)
-        parallel = brute_force_ex(6, fam, jobs=2)
-        assert serial.max_count == parallel.max_count
-        assert serial.witnesses == parallel.witnesses
-        assert serial.examined == parallel.examined
+        for n, kwargs, *_ in (param.values for param in _GOLDEN):
+            fam = ForbiddenFamily(**kwargs)
+            serial = brute_force_ex(n, fam, jobs=1)
+            parallel = brute_force_ex(n, fam, jobs=2)
+            assert serial.to_json(stable=True) == parallel.to_json(stable=True)
 
     def test_worker_count_is_capped(self, monkeypatch):
         # a pure helper: no pool is started, whatever jobs asks for
@@ -279,35 +273,42 @@ class TestBruteForce:
         assert "elapsed_ms" in res.to_json()
 
 
-# brute_force_ex(...).to_json(stable=True) recorded before the family tests
-# in the search became incremental: max, witnesses in discovery order and
-# examined must not move.
+# brute_force_ex(...).to_json(stable=True) for five queries.  max and the
+# witness sets are those of the labelled edge-space search the
+# vertex-growth engine replaced; examined counts one-vertex extensions and
+# the witnesses are sorted.  None of it may move.
 _GOLDEN = [
-    (7, dict(cycle_min_len=5, matching_bound=5), 1, 12, ["FJaNw"], 109467),
-    (
+    pytest.param(
+        7, dict(cycle_min_len=5, matching_bound=5), 1, 12, ["FJaNw"], 5915,
+        id="n7-C5-nu5",
+    ),
+    pytest.param(
         7,
         dict(cycle_min_len=4, matching_bound=2),
         1,
         7,
         ["F??Nw", "F??^W", "F??}W", "F?C^G"],
-        66791,
+        2507,
+        id="n7-C4-nu2",
     ),
-    (
+    pytest.param(
         6,
         dict(cycle_min_len=5, matching_bound=3, clique_order=3),
         1,
         5,
         ["EJbw"],
-        27436,
+        1051,
+        id="n6-C5-nu3-K3",
     ),
-    (7, dict(matching_bound=2), 1, 11, ["F?B~w"], 56704),
-    (
+    pytest.param(7, dict(matching_bound=2), 1, 11, ["F?B~w"], 4827, id="n7-nu2"),
+    pytest.param(
         6,
         dict(cycle_min_len=4, matching_bound=2),
         2,
         6,
-        ["E@Pw", "E?NW", "E@NG", "E?Fw", "EJaG"],
-        9002,
+        ["E?Fw", "E?NW", "E@NG", "E@Pw", "EJaG"],
+        715,
+        id="n6-C4-nu2-jobs2",
     ),
 ]
 
