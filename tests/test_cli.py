@@ -1,7 +1,16 @@
 import json
+import random
 
 import pytest
 
+from genturan import (
+    Graph,
+    build_extremal_odd,
+    build_St2,
+    find_cycle_geq,
+    maximum_matching_edges,
+    to_graph6,
+)
 from genturan.cli import run
 
 
@@ -232,3 +241,128 @@ class TestSelfcheck:
         code, out, _ = _run(capsys, ["selfcheck"])
         assert code == 0
         assert "all 8 checks passed" in out
+
+
+def _relabelled(graph: Graph, seed: int) -> Graph:
+    perm = list(range(graph.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
+# Extremal witnesses relabelled by a seeded permutation, so that twin
+# classes are spread over the labels.  Each has a large class of open twins
+# (the attachment vertices of H(n, k, a), or St2's pendant structure).
+_GOLDEN_GRAPHS = {
+    "odd-20": lambda: _relabelled(build_extremal_odd(20, 2, 5, 2), 1),
+    "odd-40": lambda: _relabelled(build_extremal_odd(40, 3, 10, 3), 2),
+    "st2-30": lambda: _relabelled(build_St2(30, 3, 2), 3),
+}
+
+_CERT_SKIPPED = "certificate search handles n <= 20, got n={}"
+_NOT_FREE = "the graph is not family-free"
+
+
+def _payload(n, edges, k, s, free, violation, nu, certificate=None, skipped=None):
+    return {
+        "n": n,
+        "edges": edges,
+        "family": {"cycle_min_len": k, "matching_bound": s, "clique_order": 2},
+        "family_free": free,
+        "violation": violation,
+        "clique_count": edges,
+        "matching_number": nu,
+        "certificate": certificate,
+        "certificate_skipped": skipped,
+    }
+
+
+def _cycle(cycle):
+    return {"constraint": "cycle", "cycle": cycle, "matching": None}
+
+
+def _matching(matching):
+    return {"constraint": "matching", "cycle": None, "matching": matching}
+
+
+# `verify` JSON at the family threshold and one step stricter on the cycle
+# bound or on nu.  The violation witnesses and the certificate are part of
+# the output contract.
+_VERIFY_GOLDEN = [
+    pytest.param(
+        "odd-20", 5, 5,
+        _payload(20, 37, 5, 5, True, None, 2, certificate={
+            "vertex_set": [5, 11], "component_sizes": [1] * 18, "slack": 3,
+        }),
+        id="odd-20-threshold",
+    ),
+    pytest.param(
+        "odd-20", 4, 5,
+        _payload(20, 37, 4, 5, False, _cycle([5, 0, 11, 1]), 2, skipped=_NOT_FREE),
+        id="odd-20-cycle",
+    ),
+    pytest.param(
+        "odd-40", 7, 10,
+        _payload(40, 114, 7, 10, True, None, 9, skipped=_CERT_SKIPPED.format(40)),
+        id="odd-40-threshold",
+    ),
+    pytest.param(
+        "odd-40", 7, 8,
+        _payload(40, 114, 7, 8, False, _matching(
+            [[0, 4], [1, 26], [2, 13], [3, 5], [6, 39], [10, 23], [12, 20],
+             [16, 18], [21, 32]]
+        ), 9, skipped=_NOT_FREE),
+        id="odd-40-matching",
+    ),
+    pytest.param(
+        "st2-30", 5, 5,
+        _payload(30, 60, 5, 5, False, _cycle([21, 0, 26, 9, 14]), 5,
+                 skipped=_NOT_FREE),
+        id="st2-30-cycle",
+    ),
+    pytest.param(
+        "st2-30", 6, 4,
+        _payload(30, 60, 6, 4, False, _matching(
+            [[0, 21], [1, 26], [4, 7], [9, 14], [17, 18]]
+        ), 5, skipped=_NOT_FREE),
+        id="st2-30-matching",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, k, s, expected", _VERIFY_GOLDEN)
+def test_verify_golden(capsys, tmp_path, name, k, s, expected):
+    path = tmp_path / "witness.g6"
+    path.write_text(to_graph6(_GOLDEN_GRAPHS[name]()) + "\n")
+    code, out, _ = _run(
+        capsys, ["verify", "--graph", str(path), "--k", str(k), "--s", str(s)]
+    )
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+# find_cycle_geq for every threshold up to circumference + 1, and one
+# maximum matching, on the same graphs.
+_PRIMITIVE_GOLDEN = {
+    "odd-20": (
+        {3: [5, 0, 11], 4: [5, 0, 11, 1], 5: None},
+        [(0, 5), (1, 11)],
+    ),
+    "odd-40": (
+        {3: [2, 13, 16], 4: [2, 13, 16, 18], 5: [2, 13, 16, 18, 19],
+         6: [2, 13, 16, 18, 19, 26], 7: None},
+        [(0, 4), (1, 26), (2, 13), (3, 5), (6, 39), (10, 23), (12, 20),
+         (16, 18), (21, 32)],
+    ),
+    "st2-30": (
+        {3: [21, 0, 26], 4: [21, 0, 26, 1], 5: [21, 0, 26, 9, 14], 6: None},
+        [(0, 21), (1, 26), (4, 7), (9, 14), (17, 18)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVE_GOLDEN))
+def test_cycle_and_matching_golden(name):
+    g = _GOLDEN_GRAPHS[name]()
+    cycles, matching = _PRIMITIVE_GOLDEN[name]
+    assert {k_c: find_cycle_geq(g, k_c) for k_c in cycles} == cycles
+    assert maximum_matching_edges(g) == matching
