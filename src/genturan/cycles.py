@@ -4,29 +4,19 @@ Every cycle of a graph lies inside one block, so both searches decompose
 the graph into blocks and run a path DFS per block.  Four devices keep
 the search exact but fast on the structured graphs this package builds:
 
-* a twin-class kernel shrinks the graph once, before the block search.
-  A twin class is a set of vertices with the same open neighborhood N;
-  its members are pairwise non-adjacent (an edge uv would put v in its
-  own neighborhood N(u) = N(v)) and any permutation of them is an
-  automorphism.  On a cycle every class member has both cycle neighbors
-  in N and every vertex of N has at most two, so a cycle uses at most |N|
-  members, and the automorphism moves them onto the |N| lowest-labelled
-  ones.  Keeping min(size, |N|) members of each class therefore keeps the
-  circumference exact, and every cycle of the kernel is a cycle of the
-  original graph with the same labels.  The dominated-clique blocks of the
-  extremal graphs, with many attachment vertices on one small N, shrink
-  to a handful of vertices;
+* both searches run on the twin kernel (graphs.twin_kernel, which proves
+  it exact) and map the cycle found back; the dominated-clique blocks of
+  the extremal graphs shrink to a handful of vertices;
 * start vertices are processed in decreasing-degree order and deleted
   once exhausted (all cycles through them have been seen);
 * vertices with identical open neighborhoods among the still-alive
   vertices are interchangeable on any cycle, so only the least unused
   member of each such twin class is ever tried as an extension.  The
-  kernel does not make this redundant: it leaves up to |N| members in a
-  class, which the DFS would otherwise try in every order, and deleting
-  exhausted start vertices makes further vertices twins.  On the extremal
-  witness grid up to n = 60 (976 graphs, 1952 calls; 2-vCPU Xeon, Python
-  3.11), `find_cycle_geq` took 1.8 s with both devices, 13.6 s with the
-  kernel alone and 7.7 s with neither;
+  kernel leaves up to |N| members per class and deleting exhausted start
+  vertices makes new twins, so this still pays: on the extremal witness
+  grid up to n = 60 (976 graphs, 1952 calls; 2-vCPU Xeon, Python 3.11),
+  `find_cycle_geq` took 1.8 s with both devices, 13.6 s with the kernel
+  alone and 7.7 s with neither;
 * a branch is cut when the path length plus the number of vertices still
   reachable from its endpoint cannot beat the best known cycle (or reach
   the requested length).
@@ -39,23 +29,7 @@ from __future__ import annotations
 
 from .blocks import _raw_blocks
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, _iter_bits, reach, twin_class_masks, twin_classes
-
-
-def _twin_kernel(adj: tuple[int, ...], alive: int) -> int:
-    """Keep-mask of the twin-class kernel: alive minus, from each twin
-    class with more members than neighbors, all but its |N| lowest
-    members.  Circumference within the kernel equals circumference within
-    alive (see the module docstring)."""
-    keep = alive
-    for key, members in twin_classes(adj, alive).items():
-        room = key.bit_count()
-        if members.bit_count() > room:
-            dropped = members
-            for _ in range(room):
-                dropped &= dropped - 1
-            keep ^= dropped
-    return keep
+from .graphs import Graph, _iter_bits, reach, twin_class_masks, twin_kernel
 
 
 class _SearchState:
@@ -138,21 +112,26 @@ def _longest_cycle_in_block(
     return best_len, best_cycle
 
 
-def _block_masks(graph: Graph) -> list[int]:
-    """Bitmasks of the blocks, cut down to the twin-class kernel, that can
-    still contain a cycle (order >= 3)."""
-    raw, _ = _raw_blocks(graph)
-    keep = _twin_kernel(graph.adjacency_masks, (1 << graph.n) - 1)
-    masks = []
-    for block in raw:
-        if len(block) >= 3:
-            m = 0
-            for v in block:
-                m |= 1 << v
-            m &= keep
-            if m.bit_count() >= 3:
-                masks.append(m)
-    return masks
+def _longest_cycle(
+    graph: Graph, target: int | None, budget: int | None
+) -> tuple[int, list[int] | None]:
+    """(length, vertex list) of a longest cycle, or with target set of the
+    first one found of length >= target; (0, None) if acyclic.  Blocks of
+    the twin kernel are searched largest first."""
+    kernel, labels = twin_kernel(graph)
+    adj = kernel.adjacency_masks
+    masks = [sum(1 << v for v in b) for b in _raw_blocks(kernel)[0] if len(b) >= 3]
+    state = _SearchState(budget)
+    best_len, best_cycle = 0, None
+    for mask in sorted(masks, key=lambda m: -m.bit_count()):
+        if mask.bit_count() < (target or best_len + 1):
+            continue
+        length, cycle = _longest_cycle_in_block(adj, mask, kernel.n, target, state)
+        if length > best_len:
+            best_len, best_cycle = length, cycle
+            if target is not None and length >= target:
+                break
+    return best_len, best_cycle and [labels[v] for v in best_cycle]
 
 
 def circumference(graph: Graph, budget: int | None = None) -> int:
@@ -161,36 +140,17 @@ def circumference(graph: Graph, budget: int | None = None) -> int:
     Exact.  With a budget, raises BudgetExceededError when the search
     expands more nodes than allowed.
     """
-    state = _SearchState(budget)
-    best = 0
-    adj = graph.adjacency_masks
-    for mask in sorted(_block_masks(graph), key=lambda m: -m.bit_count()):
-        if mask.bit_count() <= best:
-            continue
-        length, _ = _longest_cycle_in_block(adj, mask, graph.n, None, state)
-        best = max(best, length)
-    return best
+    return _longest_cycle(graph, None, budget)[0]
 
 
 def find_cycle_geq(
     graph: Graph, k_c: int, budget: int | None = None
 ) -> list[int] | None:
-    """A cycle of length >= k_c as a vertex list, or None.
-
-    Early exit: the first qualifying cycle is returned.  Blocks are tried
-    largest first since every cycle lives inside a single block.
-    """
+    """The first cycle found of length >= k_c, as a vertex list, or None."""
     if k_c < 3:
         raise ParameterError(f"cycle length threshold must be >= 3, got {k_c}")
-    state = _SearchState(budget)
-    adj = graph.adjacency_masks
-    for mask in sorted(_block_masks(graph), key=lambda m: -m.bit_count()):
-        if mask.bit_count() < k_c:
-            continue
-        length, cycle = _longest_cycle_in_block(adj, mask, graph.n, k_c, state)
-        if cycle is not None and length >= k_c:
-            return cycle
-    return None
+    length, cycle = _longest_cycle(graph, k_c, budget)
+    return cycle if length >= k_c else None
 
 
 def has_cycle_geq(graph: Graph, k_c: int, budget: int | None = None) -> bool:

@@ -80,6 +80,6 @@ def is_family_free(graph: Graph, family: ForbiddenFamily) -> FamilyCheckReport:
     if family.matching_bound is not None:
         edges = maximum_matching_edges(graph)
         if len(edges) > family.matching_bound:
-            witness = tuple(sorted(edges)[: family.matching_bound + 1])
+            witness = tuple(edges[: family.matching_bound + 1])
             return FamilyCheckReport(False, violated="matching", matching=witness)
     return FamilyCheckReport(True)

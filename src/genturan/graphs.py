@@ -17,11 +17,11 @@ from .errors import ParameterError
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction; all operations in this package treat
-    graphs as values, so instances are safe to share between threads.
+    Immutable after construction (but for twin_kernel's cache); graphs are
+    values here, so instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "_adj", "_num_edges")
+    __slots__ = ("n", "_adj", "_num_edges", "_kernel")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -37,12 +37,12 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._num_edges = sum(m.bit_count() for m in adj) // 2
+        self._kernel = None
 
     @classmethod
     def from_adjacency_masks(cls, masks: Iterable[int]) -> "Graph":
         """Build from per-vertex neighbor bitmasks (validated for symmetry)."""
         masks = list(masks)
-        g = cls.__new__(cls)
         n = len(masks)
         for v, m in enumerate(masks):
             if m >> n:
@@ -53,9 +53,16 @@ class Graph:
             for u in _iter_bits(masks[v]):
                 if not (masks[u] >> v) & 1:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")
-        g.n = n
+        return cls._trusted(masks)
+
+    @classmethod
+    def _trusted(cls, masks: list[int]) -> "Graph":
+        """Build from masks already known to be valid, without checks."""
+        g = cls.__new__(cls)
+        g.n = len(masks)
         g._adj = tuple(masks)
         g._num_edges = sum(m.bit_count() for m in masks) // 2
+        g._kernel = None
         return g
 
     @classmethod
@@ -141,8 +148,9 @@ def reach(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> int:
     return seen
 
 
-def twin_classes(adj: tuple[int, ...] | list[int], alive: int) -> dict[int, int]:
-    """{neighborhood within alive: bitmask of the alive vertices with it}.
+def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> list[int]:
+    """class_mask[v] = bitmask of the alive vertices whose neighborhood
+    within alive equals that of v (0 for v outside alive).
 
     On open neighborhoods (adj as stored) the classes are sets of pairwise
     non-adjacent twins; on closed neighborhoods (adj[v] | 1 << v) they are
@@ -155,20 +163,55 @@ def twin_classes(adj: tuple[int, ...] | list[int], alive: int) -> dict[int, int]
         m ^= low
         key = adj[low.bit_length() - 1] & alive
         groups[key] = groups.get(key, 0) | low
-    return groups
-
-
-def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> list[int]:
-    """class_mask[v] = bitmask of the alive vertices in the twin class of v
-    (0 for v outside alive), classes as in twin_classes."""
     class_mask = [0] * n
-    for members in twin_classes(adj, alive).values():
+    for members in groups.values():
         m = members
         while m:
             low = m & -m
             m ^= low
             class_mask[low.bit_length() - 1] = members
     return class_mask
+
+
+def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """The twin kernel of graph and its labels: kernel vertex i is vertex
+    labels[i] of graph, and labels is increasing.
+
+    The kernel is induced by the |N| lowest-labelled members of every class
+    of open twins (vertices with one neighborhood N), relabelled in order;
+    it is graph itself when that drops nothing, and is cached on graph, as
+    a family check asks for it once per constraint.
+
+    It keeps the circumference and the matching number, and its cycles and
+    matchings are those of graph under labels.  Class members are pairwise
+    non-adjacent (an edge uv would put v in N(u) = N(v)), so every edge at
+    a member ends in N.  A cycle has at most 2|N| edges at N and uses two
+    at each member on it; a matching has at most |N| edges at N and uses
+    one at each member it covers: either uses at most |N| members of the
+    class.  A permutation of a class is an automorphism fixing every vertex
+    outside it, so, applied one class after another, these move the used
+    members onto the kept ones (neighborhood diversity; Lampis, 2012).
+    """
+    if graph._kernel is not None:
+        kernel, labels = graph._kernel
+        return kernel or graph, labels
+    adj = graph._adj
+    used: dict[int, int] = {}
+    labels = []
+    for v, key in enumerate(adj):
+        k = used.get(key, 0)
+        if k < key.bit_count():
+            labels.append(v)
+        used[key] = k + 1
+    kernel = None  # stands for graph itself, so the cache is no reference cycle
+    if len(labels) < graph.n:
+        keep = sum(1 << v for v in labels)
+        index = {v: i for i, v in enumerate(labels)}
+        kernel = Graph._trusted(
+            [sum(1 << index[u] for u in _iter_bits(adj[v] & keep)) for v in labels]
+        )
+    graph._kernel = (kernel, tuple(labels))
+    return kernel or graph, graph._kernel[1]
 
 
 def count_cliques(graph: Graph, r: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParameterError, SizeLimitError
-from .graphs import Graph, _iter_bits, reach
+from .graphs import Graph, _iter_bits, reach, twin_kernel
 
 _ENUMERATION_LIMIT = 12
 _CERTIFICATE_LIMIT = 20
@@ -117,14 +117,15 @@ def _maximum_matching_array(graph: Graph) -> list[int]:
 
 def max_matching(graph: Graph) -> int:
     """nu(G), the size of a maximum matching."""
-    match = _maximum_matching_array(graph)
-    return sum(1 for v in match if v != -1) // 2
+    return len(maximum_matching_edges(graph))
 
 
 def maximum_matching_edges(graph: Graph) -> list[tuple[int, int]]:
-    """One maximum matching, as (u, v) pairs with u < v."""
-    match = _maximum_matching_array(graph)
-    return [(u, match[u]) for u in range(graph.n) if match[u] > u]
+    """One maximum matching as increasing (u, v) pairs with u < v, found on
+    the twin kernel (graphs.twin_kernel) and mapped back."""
+    kernel, labels = twin_kernel(graph)
+    match = _maximum_matching_array(kernel)
+    return [(labels[u], labels[match[u]]) for u in range(kernel.n) if match[u] > u]
 
 
 def max_matching_by_enumeration(graph: Graph) -> int:

@@ -158,18 +158,15 @@ def canonical_graph6(graph: Graph) -> str:
 # isomorphism-free enumeration
 
 
-def enumerate_family_free(
-    n: int, family: ForbiddenFamily, *, connected_only: bool = False
-) -> Iterator[Graph]:
+def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
     """Every family-free graph on n vertices, once per isomorphism class.
 
-    Grows graphs one vertex at a time (freeness and connectivity are both
-    inherited by the right induced subgraphs) with canonical-form
-    deduplication at each level.  Yields canonical graphs in encoding
-    order.  Limited to n <= 8.
+    Grows graphs one vertex at a time (freeness is inherited by induced
+    subgraphs) with canonical-form deduplication at each level.  Yields
+    canonical graphs in encoding order.  Limited to n <= 8.
     """
     _check_order(n, "family-free enumeration")
-    yield from _grow_classes(n, family, connected_only)[0]
+    yield from _grow_classes(n, family)[0]
 
 
 def _check_order(n: int, what: str) -> None:
@@ -182,34 +179,32 @@ def _check_order(n: int, what: str) -> None:
         )
 
 
-def _grow_classes(
-    n: int, family: ForbiddenFamily, connected_only: bool = False
-) -> tuple[list[Graph], int]:
+def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     """The canonical family-free graphs on n >= 0 vertices in encoding
     order, and the one-vertex extensions tried to grow them."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
-        low = 1 if connected_only and size > 1 else 0
         seen: set[tuple[int, ...]] = set()
         for g in level:
             base = g.adjacency_masks
-            for nbr in range(low, 1 << (size - 1)):
+            for nbr in range(1 << (size - 1)):
                 h = _extend(base, nbr)
                 if is_family_free(h, family):
                     seen.add(canonical_encoding(h))
-        tried += len(level) * ((1 << (size - 1)) - low)
+        tried += len(level) << (size - 1)
         level = [graph_from_encoding(key, size) for key in sorted(seen)]
     return level, tried
 
 
 def _extend(base: tuple[int, ...], nbr: int) -> Graph:
     """The graph with adjacency masks base plus one new vertex, labelled
-    len(base), joined to the vertices in the mask nbr."""
+    len(base), joined to the vertices in the mask nbr (below len(base)).
+    Symmetric by construction, so built without validation."""
     new_bit = 1 << len(base)
     masks = [m | new_bit if (nbr >> v) & 1 else m for v, m in enumerate(base)]
     masks.append(nbr)
-    return Graph.from_adjacency_masks(masks)
+    return Graph._trusted(masks)
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,20 @@ def connected_graphs(draw, max_n: int = 9, min_n: int = 2) -> Graph:
     seed = draw(st.integers(0, 2**32 - 1))
     extra = draw(st.floats(0.0, 0.6))
     return random_connected_graph(random.Random(seed), n, extra)
+
+
+@st.composite
+def graphs_with_twin_class(draw, max_n: int = 8):
+    """A random graph on b vertices plus t > |N| copies of one random
+    neighborhood N among them (a planted twin class), labels shuffled so
+    the class is not always the highest-labelled vertices."""
+    size = draw(st.integers(1, 3))
+    t = draw(st.integers(size + 1, max_n - size))
+    b = draw(st.integers(size, max_n - t))
+    pairs = [(u, v) for u in range(b) for v in range(u + 1, b)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    hood = draw(st.lists(st.integers(0, b - 1), min_size=size, max_size=size,
+                         unique=True))
+    edges += [(w, c) for c in range(b, b + t) for w in hood]
+    perm = draw(st.permutations(range(b + t)))
+    return Graph(b + t, [(perm[u], perm[v]) for u, v in edges])

@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from genturan import (
     BudgetExceededError,
@@ -20,9 +19,17 @@ from genturan import (
     has_cycle_geq,
 )
 from genturan.blocks import _raw_blocks
-from genturan.cycles import _SearchState, _longest_cycle_in_block, _twin_kernel
+from genturan.cycles import _SearchState, _longest_cycle_in_block
+from genturan.graphs import twin_kernel
 
-from conftest import bowtie, cycle_graph, graphs, path_graph, random_graph
+from conftest import (
+    bowtie,
+    cycle_graph,
+    graphs,
+    graphs_with_twin_class,
+    path_graph,
+    random_graph,
+)
 
 ALL_GRAPHS = ForbiddenFamily(clique_order=2)
 
@@ -103,23 +110,6 @@ class TestHasCycleGeq:
             assert has_cycle_geq(g, k_c) == (c >= k_c)
 
 
-@st.composite
-def graphs_with_twin_class(draw, max_n: int = 8):
-    """A random graph on b vertices plus t > |N| copies of one random
-    neighborhood N among them (a planted twin class), labels shuffled so
-    the class is not always the highest-labelled vertices."""
-    size = draw(st.integers(1, 3))
-    t = draw(st.integers(size + 1, max_n - size))
-    b = draw(st.integers(size, max_n - t))
-    pairs = [(u, v) for u in range(b) for v in range(u + 1, b)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    hood = draw(st.lists(st.integers(0, b - 1), min_size=size, max_size=size,
-                         unique=True))
-    edges += [(w, c) for c in range(b, b + t) for w in hood]
-    perm = draw(st.permutations(range(b + t)))
-    return Graph(b + t, [(perm[u], perm[v]) for u, v in edges])
-
-
 def _unreduced_circumference(g: Graph) -> int:
     """Block-by-block DFS on the full blocks, without the twin kernel."""
     best = 0
@@ -181,4 +171,6 @@ class TestTwinKernel:
         # H(4985, 7, 3) keeps its 3 dominating vertices and 3 of the 4982
         # vertices on them; each attached K_6 keeps its 5 non-hub vertices
         g = build_extremal_odd(5000, 3, 10, 3)
-        assert _twin_kernel(g.adjacency_masks, (1 << g.n) - 1).bit_count() == 21
+        kernel, labels = twin_kernel(g)
+        assert kernel.n == len(labels) == 21
+        assert list(labels) == sorted(labels)

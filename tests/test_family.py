@@ -5,8 +5,11 @@ from genturan import (
     Graph,
     ParameterError,
     build_H,
+    build_extremal_odd,
     is_family_free,
+    max_matching,
 )
+from genturan.graphs import twin_kernel
 
 from conftest import bowtie
 
@@ -64,3 +67,12 @@ class TestIsFamilyFree:
 
     def test_empty_family_always_free(self):
         assert is_family_free(Graph.complete(9), ForbiddenFamily())
+
+
+def test_extremal_odd_20000_checked_on_its_kernel():
+    # H(19985, 7, 3) plus K_6 blocks: every attachment vertex beyond the
+    # first three is dropped, so both checks run on 21 vertices
+    g = build_extremal_odd(2 * 10**4, 3, 10, 3)
+    assert twin_kernel(g)[0].n == 21
+    assert is_family_free(g, ForbiddenFamily(cycle_min_len=7, matching_bound=10))
+    assert max_matching(g) == 9

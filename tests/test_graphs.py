@@ -9,9 +9,16 @@ from genturan import (
     count_cliques_by_enumeration,
     switch_vertex,
 )
-from genturan.graphs import reach
+from genturan.graphs import reach, twin_kernel
 
-from conftest import bowtie, cycle_graph, graphs, path_graph, star_graph
+from conftest import (
+    bowtie,
+    cycle_graph,
+    graphs,
+    graphs_with_twin_class,
+    path_graph,
+    star_graph,
+)
 
 
 class TestGraph:
@@ -71,6 +78,27 @@ class TestReach:
                     found.add(u)
                     queue.append(u)
         assert reach(g.adjacency_masks, allowed, seeds) == sum(1 << v for v in found)
+
+
+class TestTwinKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_twin_class())
+    def test_induced_on_the_lowest_class_members(self, g):
+        kernel, labels = twin_kernel(g)
+        assert list(labels) == sorted(set(labels))
+        assert [(labels[u], labels[v]) for u, v in kernel.edges()] == [
+            (u, v) for u, v in g.edges() if u in labels and v in labels
+        ]
+        classes = {}
+        for v in range(g.n):
+            classes.setdefault(g.adjacency_mask(v), []).append(v)
+        for hood, members in classes.items():
+            kept = members[: hood.bit_count()]
+            assert [v for v in members if v in labels] == kept
+
+    def test_nothing_to_drop_returns_the_graph(self):
+        g = cycle_graph(6)
+        assert twin_kernel(g) == (g, tuple(range(6)))
 
 
 class TestCountCliques:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genturan import (
     ForbiddenFamily,
@@ -15,8 +16,9 @@ from genturan import (
     max_matching_by_enumeration,
     maximum_matching_edges,
 )
+from genturan.matching import has_matching_of_size
 
-from conftest import cycle_graph, graphs, random_graph, star_graph
+from conftest import cycle_graph, graphs, graphs_with_twin_class, random_graph, star_graph
 
 ALL_GRAPHS = ForbiddenFamily(clique_order=2)
 
@@ -86,6 +88,35 @@ class TestMaxMatching:
         edges = maximum_matching_edges(g)
         assert _is_matching(g, edges)
         assert len(edges) == max_matching_by_enumeration(g)
+
+
+class TestTwinKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_twin_class())
+    def test_planted_twins_against_enumeration(self, g):
+        edges = maximum_matching_edges(g)
+        assert max_matching(g) == len(edges) == max_matching_by_enumeration(g)
+        assert _is_matching(g, edges)
+        assert edges == sorted(edges) and all(u < v for u, v in edges)
+
+
+def _induced(g: Graph, active: int) -> Graph:
+    members = [v for v in range(g.n) if (active >> v) & 1]
+    index = {v: i for i, v in enumerate(members)}
+    return Graph(
+        len(members),
+        [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
+    )
+
+
+class TestHasMatchingOfSize:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_against_enumeration_on_induced_subgraphs(self, g, data):
+        active = data.draw(st.integers(0, (1 << g.n) - 1))
+        nu = max_matching_by_enumeration(_induced(g, active))
+        assert has_matching_of_size(g.adjacency_masks, active, nu)
+        assert not has_matching_of_size(g.adjacency_masks, active, nu + 1)
 
 
 class TestBergeTutteCertificate:
