@@ -10,12 +10,27 @@ neighbourhood of the new vertex over every class of the level below and
 keeps the canonical forms of the family-free extensions.
 enumerate_family_free returns the classes of the last level.
 
+Two exact filters drop most extensions before their family check and
+their canonical form, and the canonical-form set still removes the
+duplicates they let through:
+
+* canonical deletion by invariant: the new vertex w must have the
+  largest key (degree, then sorted neighbour degrees) of the extension,
+  ties kept.  No class is lost: a class C has a vertex v of largest key,
+  C - v is family-free and so a parent of the level below, and its
+  extension that recreates v passes;
+* parent twin rule: within each class of open or closed twins of the
+  parent, the neighbourhood of w takes the lowest-labelled members.
+  Swapping two twins is an automorphism of the parent that fixes w, so
+  the two extensions are isomorphic and w has the same key in both.
+
 brute_force_ex grows the classes to n - 1 vertices and streams the
-one-vertex extensions of each of them without keeping the last level.
-The K_r count of an extension is the parent's count plus the (r-1)-cliques
-in the new vertex's neighbourhood; an extension below the best count seen
-so far is dropped before its family check, and only the family-free
-extensions that reach it are canonicalised.  Parents are split over
+one-vertex extensions of each of them that pass the two filters,
+without keeping the last level.  The K_r count of an extension is the
+parent's count plus the (r-1)-cliques in the new vertex's neighbourhood;
+an extension below the best count seen so far is dropped before its
+family check, and only the family-free extensions that reach it are
+canonicalised.  Parents are split over
 processes for jobs > 1 and the results merged as sets, so maxima, witness
 sets and the examined counter are identical regardless of parallelism.
 
@@ -45,7 +60,13 @@ from typing import Iterator
 from .errors import OracleSizeError, ParameterError
 from .family import ForbiddenFamily, is_family_free
 from .formulas import ex_even_edges, ex_odd
-from .graphs import Graph, count_cliques, count_cliques_in_mask, twin_class_masks
+from .graphs import (
+    Graph,
+    _iter_bits,
+    count_cliques,
+    count_cliques_in_mask,
+    twin_class_masks,
+)
 from .graph_io import to_graph6
 
 # perfbench/tracer.py rebinds these names in this module, which does not
@@ -95,10 +116,7 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
     if n <= 1:
         return ()
     masks = graph.adjacency_masks
-    full = (1 << n) - 1
-    open_twins = twin_class_masks(masks, full, n)
-    closed = [m | 1 << v for v, m in enumerate(masks)]
-    twins = [a | b for a, b in zip(open_twins, twin_class_masks(closed, full, n))]
+    twins = _twin_classes(masks)
     width = n * (n - 1) // 2
     best = -1
 
@@ -132,6 +150,20 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
     return tuple(reversed(enc))
 
 
+def _twin_classes(masks: tuple[int, ...] | list[int]) -> list[int]:
+    """classes[v] = the mask of the twins of v (equal open or equal closed
+    neighborhoods), v included.  No vertex has both an open and a closed
+    twin (a closed twin x of v is adjacent to every open twin u of v, as
+    x is in N(v) = N(u), and then u is in N[x] = N[v]), so the classes
+    partition the vertices, and swapping two members of one class is an
+    automorphism."""
+    n = len(masks)
+    full = (1 << n) - 1
+    open_twins = twin_class_masks(masks, full, n)
+    closed = [m | 1 << v for v, m in enumerate(masks)]
+    return [a | b for a, b in zip(open_twins, twin_class_masks(closed, full, n))]
+
+
 def graph_from_encoding(enc: tuple[int, ...], n: int) -> Graph:
     edges = []
     for j in range(1, n):
@@ -162,8 +194,14 @@ def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
     """Every family-free graph on n vertices, once per isomorphism class.
 
     Grows graphs one vertex at a time (freeness is inherited by induced
-    subgraphs) with canonical-form deduplication at each level.  Yields
-    canonical graphs in encoding order.  Limited to n <= 8.
+    subgraphs) with canonical-form deduplication at each level.  An
+    extension is family-checked and canonicalised only if its new vertex
+    has the largest (degree, sorted neighbour degrees) key, which a class
+    C reaches from the parent C - v for v of largest key, and if its
+    neighbourhood takes the lowest-labelled members of each twin class of
+    the parent, which an automorphism of the parent fixing the new vertex
+    arranges.  Yields canonical graphs in encoding order.  Limited to
+    n <= 8.
     """
     _check_order(n, "family-free enumeration")
     yield from _grow_classes(n, family)[0]
@@ -181,14 +219,23 @@ def _check_order(n: int, what: str) -> None:
 
 def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     """The canonical family-free graphs on n >= 0 vertices in encoding
-    order, and the one-vertex extensions tried to grow them."""
+    order, and the one-vertex extensions tried to grow them (the filtered
+    ones included).
+
+    Each level family-checks and canonicalises only the extensions that
+    pass the two filters of _augmentations, and deduplicates them by
+    canonical form.  The filters lose no class.  Canonical deletion: every
+    class C has a vertex v of largest key, and C - v is family-free, so a
+    parent in the level list.  Twin rule: the extension of that parent
+    that recreates v, with its neighbourhood moved onto the lowest twins,
+    is isomorphic to C by an automorphism of the parent that fixes v."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
         seen: set[tuple[int, ...]] = set()
         for g in level:
             base = g.adjacency_masks
-            for nbr in range(1 << (size - 1)):
+            for nbr in _augmentations(base, range(1 << (size - 1))):
                 h = _extend(base, nbr)
                 if is_family_free(h, family):
                     seen.add(canonical_encoding(h))
@@ -197,14 +244,88 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     return level, tried
 
 
-def _extend(base: tuple[int, ...], nbr: int) -> Graph:
-    """The graph with adjacency masks base plus one new vertex, labelled
-    len(base), joined to the vertices in the mask nbr (below len(base)).
-    Symmetric by construction, so built without validation."""
+def _augmentations(base: tuple[int, ...], nbrs: range) -> Iterator[int]:
+    """The neighbourhoods in nbrs (masks below len(base)) whose extensions
+    of the graph with adjacency masks base pass two exact filters:
+
+    * canonical deletion by invariant: the new vertex w has the largest
+      deletion key of the extension, ties kept (_keeps_new_vertex).  A
+      class C is kept from the parent C - v for a vertex v of largest key;
+      the seen set of the caller removes the duplicates, so no orbits are
+      needed.  As w gets degree |nbr| and every parent vertex keeps at
+      least its degree, |nbr| >= the parent's maximum degree is tested
+      first;
+    * parent twin rule: within each class of twins of the parent, nbr
+      takes the lowest-labelled members (_twin_representative).  Swapping
+      two twins is an automorphism of the parent that fixes w and maps one
+      neighbourhood onto the other, so the two extensions are isomorphic
+      and w has the same key in both.
+    """
+    degrees = [m.bit_count() for m in base]
+    floor = max(degrees, default=0)
+    classes = [c for c in set(_twin_classes(base)) if c & (c - 1)]
+    for nbr in nbrs:
+        if (
+            nbr.bit_count() >= floor
+            and _twin_representative(classes, nbr) == nbr
+            and _keeps_new_vertex(base, degrees, nbr)
+        ):
+            yield nbr
+
+
+def _deletion_key(
+    masks: tuple[int, ...] | list[int], degrees: list[int], v: int
+) -> tuple[int, list[int]]:
+    """The invariant that picks the canonical deletion vertex: the degree
+    of v and the sorted degrees of its neighbours (degrees[u] is the
+    degree of u in the graph with adjacency masks masks)."""
+    return degrees[v], sorted(degrees[u] for u in _iter_bits(masks[v]))
+
+
+def _keeps_new_vertex(base: tuple[int, ...], degrees: list[int], nbr: int) -> bool:
+    """Whether the vertex w = len(base), joined to the vertices of nbr, has
+    the largest _deletion_key in that extension of the graph with
+    adjacency masks base and vertex degrees degrees (ties count as
+    largest).  Decided from the parent's degrees: w adds one to the degree
+    of each of its neighbours."""
+    w = len(base)
+    width = nbr.bit_count()
+    ext = [d + ((nbr >> v) & 1) for v, d in enumerate(degrees)]
+    if max(ext, default=0) > width:
+        return False
+    ties = [v for v in range(w) if ext[v] == width]
+    if not ties:
+        return True
+    ext.append(width)
+    masks = _extension_masks(base, nbr)
+    own = _deletion_key(masks, ext, w)
+    return all(_deletion_key(masks, ext, v) <= own for v in ties)
+
+
+def _twin_representative(classes: list[int], nbr: int) -> int:
+    """nbr with its members of each twin class moved onto the
+    lowest-labelled members of that class (classes are disjoint masks)."""
+    for members in classes:
+        take = members
+        for _ in range((members & ~nbr).bit_count()):
+            take ^= 1 << (take.bit_length() - 1)
+        nbr = nbr & ~members | take
+    return nbr
+
+
+def _extension_masks(base: tuple[int, ...], nbr: int) -> list[int]:
+    """Adjacency masks base plus one new vertex, labelled len(base), joined
+    to the vertices in the mask nbr (below len(base))."""
     new_bit = 1 << len(base)
     masks = [m | new_bit if (nbr >> v) & 1 else m for v, m in enumerate(base)]
     masks.append(nbr)
-    return Graph._trusted(masks)
+    return masks
+
+
+def _extend(base: tuple[int, ...], nbr: int) -> Graph:
+    """The graph with the _extension_masks of base and nbr.  Symmetric by
+    construction, so built without validation."""
+    return Graph._trusted(_extension_masks(base, nbr))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +415,16 @@ def _best_extensions(
 ) -> tuple[int, list[str]]:
     """The largest K_r count over the family-free one-vertex extensions of
     parents, and the least _WITNESS_CAP canonical graph6 strings of the
-    extensions that reach it."""
+    extensions that reach it.
+
+    Only the extensions that pass the two filters of _augmentations are
+    counted, checked and canonicalised, and no maximising class is lost.
+    Canonical deletion: a class C is reached from the parent C - v for a
+    vertex v of largest key, which is family-free.  Twin rule: moving the
+    new vertex's neighbourhood onto the lowest twins of the parent is an
+    automorphism of the parent, so the extension stays isomorphic to C.
+    When the parents are split over processes, the process holding C - v
+    finds C."""
     r = family.clique_order
     best = -1
     maximisers: set[str] = set()
@@ -302,7 +432,7 @@ def _best_extensions(
         base = parent.adjacency_masks
         inherited = count_cliques(parent, r)
         # largest neighbourhoods first, for the same reason as dense parents
-        for nbr in range((1 << parent.n) - 1, -1, -1):
+        for nbr in _augmentations(base, range((1 << parent.n) - 1, -1, -1)):
             count = inherited + count_cliques_in_mask(base, nbr, r - 1)
             if count < best:
                 continue

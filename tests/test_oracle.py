@@ -28,9 +28,18 @@ from genturan import (
 
 from genturan.cycles import circumference_by_enumeration
 from genturan.matching import max_matching_by_enumeration
-from genturan.oracle import _worker_count, canonical_encoding
+from genturan.oracle import (
+    _deletion_key,
+    _grow_classes,
+    _keeps_new_vertex,
+    _twin_classes,
+    _twin_representative,
+    _worker_count,
+    canonical_encoding,
+    graph_from_encoding,
+)
 
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def _minimum_by_permutation_scan(g: Graph) -> str:
@@ -139,6 +148,9 @@ class TestEnumerateFamilyFree:
         fam = ForbiddenFamily(clique_order=2)
         assert len(list(enumerate_family_free(4, fam))) == 11
         assert len(list(enumerate_family_free(5, fam))) == 34
+        # OEIS A000088
+        assert len(list(enumerate_family_free(6, fam))) == 156
+        assert len(list(enumerate_family_free(7, fam))) == 1044
 
     def test_triangle_free_n3(self):
         graphs = list(enumerate_family_free(3, ForbiddenFamily(cycle_min_len=3)))
@@ -160,6 +172,87 @@ class TestEnumerateFamilyFree:
     def test_size_limit(self):
         with pytest.raises(OracleSizeError):
             list(enumerate_family_free(9, ForbiddenFamily(clique_order=2)))
+
+
+def _unfiltered_levels(n: int, family: ForbiddenFamily) -> list[tuple[list[Graph], int]]:
+    """Reference for the filtered level loop: canonicalise every family-free
+    one-vertex extension of every class, then deduplicate.  Entry size - 1
+    holds the classes on size vertices and the extensions tried so far."""
+    level, tried, levels = [Graph(0)], 0, []
+    for size in range(1, n + 1):
+        seen = set()
+        for g in level:
+            for nbr in range(1 << (size - 1)):
+                joins = [(v, size - 1) for v in range(size - 1) if (nbr >> v) & 1]
+                h = Graph(size, list(g.edges()) + joins)
+                if is_family_free(h, family):
+                    seen.add(canonical_encoding(h))
+        tried += len(level) << (size - 1)
+        level = [graph_from_encoding(key, size) for key in sorted(seen)]
+        levels.append((level, tried))
+    return levels
+
+
+def _degrees(g: Graph) -> list[int]:
+    return [g.degree(v) for v in range(g.n)]
+
+
+@st.composite
+def _parents_and_neighbourhoods(draw, max_n: int = 7):
+    """A parent graph, one with open and closed twins half of the time,
+    and a neighbourhood mask for a new vertex."""
+    parent = draw(st.one_of(graphs(max_n=max_n), _graphs_with_twin_classes(max_n)))
+    return parent, draw(st.integers(0, (1 << parent.n) - 1))
+
+
+def _extension(parent: Graph, nbr: int) -> Graph:
+    w = parent.n
+    joins = [(v, w) for v in range(w) if (nbr >> v) & 1]
+    return Graph(w + 1, list(parent.edges()) + joins)
+
+
+class TestAugmentationFilters:
+    def test_filtered_levels_against_unfiltered(self):
+        # the canonical-deletion and twin filters lose no class and keep
+        # counting every extension they drop
+        for k_c in (None, 3, 4, 5, 6):
+            for s in (None, 0, 1, 2, 3):
+                family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s)
+                for n, (level, tried) in enumerate(_unfiltered_levels(6, family), 1):
+                    assert _grow_classes(n, family) == (level, tried), (n, family)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_deletion_key_is_invariant(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabeled(perm)
+        for v in range(g.n):
+            assert _deletion_key(g.adjacency_masks, _degrees(g), v) == _deletion_key(
+                h.adjacency_masks, _degrees(h), perm[v]
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_parents_and_neighbourhoods())
+    def test_new_vertex_has_largest_key(self, case):
+        # the filter reads the key off the parent; rebuild the extension
+        parent, nbr = case
+        h = _extension(parent, nbr)
+        keys = [_deletion_key(h.adjacency_masks, _degrees(h), v) for v in range(h.n)]
+        expected = keys[parent.n] == max(keys)
+        assert _keeps_new_vertex(parent.adjacency_masks, _degrees(parent), nbr) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_parents_and_neighbourhoods())
+    def test_twin_representative_is_isomorphic(self, case):
+        parent, nbr = case
+        classes = [c for c in set(_twin_classes(parent.adjacency_masks)) if c & (c - 1)]
+        rep = _twin_representative(classes, nbr)
+        assert rep.bit_count() == nbr.bit_count()
+        assert _twin_representative(classes, rep) == rep
+        assert canonical_encoding(_extension(parent, rep)) == canonical_encoding(
+            _extension(parent, nbr)
+        )
 
 
 class TestBruteForce:
