@@ -74,10 +74,6 @@ class BlockStarSpec:
     def total_order(self) -> int:
         return self.central_order + sum(c - 1 for c in self.attached)
 
-    @property
-    def num_blocks(self) -> int:
-        return 1 + len(self.attached)
-
     def to_json(self) -> dict:
         central = (
             {"type": "K", "order": self.central}
@@ -85,6 +81,22 @@ class BlockStarSpec:
             else self.central.to_json()
         )
         return {"central": central, "attached": list(self.attached), "hub": 0}
+
+
+def central_block_order(
+    n: int, central_k: int, attached: tuple[int, ...], label: str
+) -> int:
+    """Order n - sum(c-1) left to the central block of an n-vertex block
+    star with the given attached clique orders.  Raises ParameterError
+    naming the witness order central_k + sum(c-1) for `label` when that is
+    below central_k, the least central order that reaches its designed
+    matching number."""
+    glued = sum(c - 1 for c in attached)
+    if n - glued < central_k:
+        raise ParameterError(
+            f"n={n} is below the witness order {central_k + glued} for {label}"
+        )
+    return n - glued
 
 
 def build_H(n, k: int | None = None, a: int | None = None) -> Graph:

@@ -120,7 +120,7 @@ def _longest_cycle(
     the twin kernel are searched largest first."""
     kernel, labels = twin_kernel(graph)
     adj = kernel.adjacency_masks
-    masks = [sum(1 << v for v in b) for b in _raw_blocks(kernel)[0] if len(b) >= 3]
+    masks = [b for b in _raw_blocks(kernel)[0] if b.bit_count() >= 3]
     state = _SearchState(budget)
     best_len, best_cycle = 0, None
     for mask in sorted(masks, key=lambda m: -m.bit_count()):

@@ -221,7 +221,7 @@ def ex_odd(n: int, k: int, s: int, r: int) -> ExtremalValue:
     order 2k (plus one of order 2t+2 in Case3).  Requires n at least the
     witness order (central block large enough for full matching number).
     """
-    from .constructors import BlockStarSpec, HGraphParams
+    from .constructors import BlockStarSpec, HGraphParams, central_block_order
 
     p = odd_case_params(k, r, s)
     if p.case == "Case1":
@@ -230,13 +230,7 @@ def ex_odd(n: int, k: int, s: int, r: int) -> ExtremalValue:
         attached = (2 * k,) * p.q
     else:
         attached = tuple(sorted((2 * k,) * p.q + (2 * p.t + 2,), reverse=True))
-    central_n = n - sum(c - 1 for c in attached)
-    min_central = 2 * k + 1
-    if central_n < min_central:
-        raise ParameterError(
-            f"n={n} is below the witness order "
-            f"{min_central + sum(c - 1 for c in attached)} for {p.case}"
-        )
+    central_n = central_block_order(n, 2 * k + 1, attached, p.case)
     spec = BlockStarSpec(
         central=HGraphParams(n=central_n, k=2 * k + 1, a=k), attached=attached
     )
@@ -279,16 +273,12 @@ def ex_even_edges(n: int, k: int, s: int) -> ExtremalValue:
     (k-1)n - C(k, 2) + (k-1)(q-1) + eps, with witness St1(n, 2k, q) when
     eps = 0 and St2(n, 2k, q) when eps = 1.
     """
-    from .constructors import st1_spec, st2_spec
+    from .constructors import central_block_order, st1_spec, st2_spec
 
     p = even_case_params(k, s)
     value = (k - 1) * n - comb(k, 2) + (k - 1) * (p.q - 1) + p.epsilon
-    min_central = 2 * k - 1 if p.epsilon == 0 else 2 * k
-    witness_order = (p.q - 1) * (2 * k - 2) + min_central
-    if n < witness_order:
-        raise ParameterError(
-            f"n={n} is below the witness order {witness_order} for k={k}, s={s}"
-        )
+    central_k = 2 * k - 1 if p.epsilon == 0 else 2 * k
+    central_block_order(n, central_k, (2 * k - 1,) * (p.q - 1), f"k={k}, s={s}")
     if p.epsilon == 0:
         spec = st1_spec(n, k, p.q)
         regime = "St1"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .constructors import BlockStarSpec, HGraphParams
+from .constructors import BlockStarSpec, HGraphParams, central_block_order
 from .errors import ParameterError
 from .formulas import g_value
 
@@ -134,13 +134,10 @@ def solve_even(n: int, k: int, r: int, s: int) -> tuple[int, str, BlockStarSpec]
         + (2 * k - 2,) * triple.y
         + ((triple.z,) if triple.z >= 2 else ())
     )
-    central_n = n - sum(c - 1 for c in attached)
-    if central_n < central_k:
-        raise ParameterError(
-            f"n={n} is below the witness order "
-            f"{central_k + sum(c - 1 for c in attached)} for the winning "
-            f"profile (x={triple.x}, y={triple.y}, z={triple.z}, {family})"
-        )
+    profile = (
+        f"the winning profile (x={triple.x}, y={triple.y}, z={triple.z}, {family})"
+    )
+    central_n = central_block_order(n, central_k, attached, profile)
     spec = BlockStarSpec(
         central=HGraphParams(n=central_n, k=central_k, a=k - 1), attached=attached
     )

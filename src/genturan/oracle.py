@@ -11,18 +11,12 @@ keeps the canonical forms of the family-free extensions.
 enumerate_family_free returns the classes of the last level.
 
 Two exact filters drop most extensions before their family check and
-their canonical form, and the canonical-form set still removes the
-duplicates they let through:
-
-* canonical deletion by invariant: the new vertex w must have the
-  largest key (degree, then sorted neighbour degrees) of the extension,
-  ties kept.  No class is lost: a class C has a vertex v of largest key,
-  C - v is family-free and so a parent of the level below, and its
-  extension that recreates v passes;
-* parent twin rule: within each class of open or closed twins of the
-  parent, the neighbourhood of w takes the lowest-labelled members.
-  Swapping two twins is an automorphism of the parent that fixes w, so
-  the two extensions are isomorphic and w has the same key in both.
+their canonical form: the new vertex must have the largest key (degree,
+then sorted neighbour degrees) of the extension, and its neighbourhood
+takes the lowest-labelled members of each class of open or closed twins
+of the parent.  _augmentations applies both and shows that they lose no
+class; the canonical-form set still removes the duplicates they let
+through.
 
 brute_force_ex grows the classes to n - 1 vertices and streams the
 one-vertex extensions of each of them that pass the two filters,
@@ -194,14 +188,10 @@ def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
     """Every family-free graph on n vertices, once per isomorphism class.
 
     Grows graphs one vertex at a time (freeness is inherited by induced
-    subgraphs) with canonical-form deduplication at each level.  An
-    extension is family-checked and canonicalised only if its new vertex
-    has the largest (degree, sorted neighbour degrees) key, which a class
-    C reaches from the parent C - v for v of largest key, and if its
-    neighbourhood takes the lowest-labelled members of each twin class of
-    the parent, which an automorphism of the parent fixing the new vertex
-    arranges.  Yields canonical graphs in encoding order.  Limited to
-    n <= 8.
+    subgraphs) with canonical-form deduplication at each level; only the
+    extensions that pass the two exact filters of _augmentations are
+    family-checked and canonicalised.  Yields canonical graphs in encoding
+    order.  Limited to n <= 8.
     """
     _check_order(n, "family-free enumeration")
     yield from _grow_classes(n, family)[0]
@@ -223,12 +213,8 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     ones included).
 
     Each level family-checks and canonicalises only the extensions that
-    pass the two filters of _augmentations, and deduplicates them by
-    canonical form.  The filters lose no class.  Canonical deletion: every
-    class C has a vertex v of largest key, and C - v is family-free, so a
-    parent in the level list.  Twin rule: the extension of that parent
-    that recreates v, with its neighbourhood moved onto the lowest twins,
-    is isomorphic to C by an automorphism of the parent that fixes v."""
+    pass the two filters of _augmentations, which lose no class, and
+    deduplicates them by canonical form."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
@@ -249,17 +235,21 @@ def _augmentations(base: tuple[int, ...], nbrs: range) -> Iterator[int]:
     of the graph with adjacency masks base pass two exact filters:
 
     * canonical deletion by invariant: the new vertex w has the largest
-      deletion key of the extension, ties kept (_keeps_new_vertex).  A
-      class C is kept from the parent C - v for a vertex v of largest key;
-      the seen set of the caller removes the duplicates, so no orbits are
-      needed.  As w gets degree |nbr| and every parent vertex keeps at
-      least its degree, |nbr| >= the parent's maximum degree is tested
-      first;
+      deletion key of the extension, ties kept (_keeps_new_vertex).  As w
+      gets degree |nbr| and every parent vertex keeps at least its degree,
+      |nbr| >= the parent's maximum degree is tested first;
     * parent twin rule: within each class of twins of the parent, nbr
-      takes the lowest-labelled members (_twin_representative).  Swapping
-      two twins is an automorphism of the parent that fixes w and maps one
-      neighbourhood onto the other, so the two extensions are isomorphic
-      and w has the same key in both.
+      takes the lowest-labelled members (_twin_representative).
+
+    Together they lose no isomorphism class.  A class C has a vertex v of
+    largest key, and C - v is family-free (freeness is inherited by
+    induced subgraphs), so it is a parent, and its extension that
+    recreates v passes the first filter.  Swapping two twins of the parent
+    is an automorphism that fixes w and maps one neighbourhood onto the
+    other, so moving that neighbourhood onto the lowest twins gives an
+    isomorphic extension in which w has the same key; it passes both.
+    Duplicates pass too: the caller's set of canonical forms removes
+    them, so no orbits are needed.
     """
     degrees = [m.bit_count() for m in base]
     floor = max(degrees, default=0)
@@ -417,14 +407,10 @@ def _best_extensions(
     parents, and the least _WITNESS_CAP canonical graph6 strings of the
     extensions that reach it.
 
-    Only the extensions that pass the two filters of _augmentations are
-    counted, checked and canonicalised, and no maximising class is lost.
-    Canonical deletion: a class C is reached from the parent C - v for a
-    vertex v of largest key, which is family-free.  Twin rule: moving the
-    new vertex's neighbourhood onto the lowest twins of the parent is an
-    automorphism of the parent, so the extension stays isomorphic to C.
-    When the parents are split over processes, the process holding C - v
-    finds C."""
+    Only the extensions that pass the two filters of _augmentations,
+    which lose no class, are counted, checked and canonicalised.  When the
+    parents are split over processes, a class C is found by the process
+    holding the parent C - v that the argument there names."""
     r = family.clique_order
     best = -1
     maximisers: set[str] = set()

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from genturan import Graph
+from genturan import Graph, build_H, build_St1, build_St2, build_extremal_odd, ex_odd
 
 
 def path_graph(n: int) -> Graph:
@@ -47,6 +47,31 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.25) -> G
             if rng.random() < extra:
                 edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+def relabeled_witnesses():
+    """Extremal witnesses of every kind up to n = 60, each relabelled by a
+    seeded permutation."""
+    rng = random.Random(60)
+    built = []
+    for k in (2, 3, 4):
+        for s in (2 * k + 1, 3 * k, 4 * k):
+            for r in (2, k + 1):
+                attached = ex_odd(10**6, k, s, r).witness.attached
+                order = (2 * k + 1) + sum(c - 1 for c in attached)
+                for n in sorted({order, (order + 60) // 2, 60}):
+                    built.append(build_extremal_odd(n, k, s, r))
+    for k in (2, 4, 6):
+        for q in (1, 3):
+            for n in ((q - 1) * (2 * k - 2) + 2 * k, 60):
+                built.append(build_St1(n, k, q))
+                built.append(build_St2(n, k, q))
+    for k, a in ((5, 1), (8, 2), (10, 4)):
+        built.append(build_H(30, k, a))
+    for g in built:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g.relabeled(perm)
 
 
 @st.composite

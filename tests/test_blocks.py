@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from genturan import (
+    BlockDecomposition,
     DisconnectedGraphError,
     ForbiddenFamily,
     Graph,
@@ -45,6 +46,11 @@ class TestBlockDecomposition:
         dec = block_decomposition(Graph(1))
         assert dec.blocks == ((0,),)
 
+    def test_empty_graph_has_no_blocks(self):
+        assert block_decomposition(Graph(0)) == BlockDecomposition((), (), ())
+        with pytest.raises(ParameterError, match="b1_index 0 out of range"):
+            star_transform(Graph(0), 0, 0)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             block_decomposition(Graph(4, [(0, 1), (2, 3)]))
@@ -82,8 +88,9 @@ class TestStarTransform:
         assert star_transform(p4, b1, 0) == Graph(4, [(0, 1), (0, 2), (0, 3)])
 
     def test_u1_not_in_block_rejected(self):
-        with pytest.raises(ParameterError):
-            star_transform(path_graph(4), 0, 3)
+        for u1 in (3, -1, 4):
+            with pytest.raises(ParameterError):
+                star_transform(path_graph(4), 0, u1)
 
     def test_all_blocks_share_hub_afterwards(self):
         rng = random.Random(5150)

@@ -113,9 +113,8 @@ class TestHasCycleGeq:
 def _unreduced_circumference(g: Graph) -> int:
     """Block-by-block DFS on the full blocks, without the twin kernel."""
     best = 0
-    for block in _raw_blocks(g)[0]:
-        if len(block) >= 3:
-            mask = sum(1 << v for v in block)
+    for mask in _raw_blocks(g)[0]:
+        if mask.bit_count() >= 3:
             length, _ = _longest_cycle_in_block(
                 g.adjacency_masks, mask, g.n, None, _SearchState(None)
             )

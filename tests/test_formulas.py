@@ -235,6 +235,34 @@ class TestExEvenEdges:
                     assert st2.num_edges == ev2.value == st1.num_edges + 1
 
 
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (ex_odd, (3, 2, 5, 2), "n=3 is below the witness order 5 for Case1"),
+        (ex_odd, (10, 3, 10, 3), "n=10 is below the witness order 22 for Case2"),
+        (ex_odd, (3, 4, 9, 5), "n=3 is below the witness order 21 for Case3"),
+        (ex_even_edges, (5, 4, 3), "n=5 is below the witness order 7 for k=4, s=3"),
+        (ex_even_edges, (10, 4, 9), "n=10 is below the witness order 19 for k=4, s=9"),
+        (
+            ex_even,
+            (10, 4, 9, 3),
+            "n=10 is below the witness order 19 for the winning profile "
+            "(x=1, y=0, z=7, T2)",
+        ),
+        (
+            ex_even,
+            (12, 3, 7, 3),
+            "n=12 is below the witness order 14 for the winning profile "
+            "(x=1, y=0, z=5, T1)",
+        ),
+    ],
+)
+def test_witness_order_messages(func, args, message):
+    with pytest.raises(ParameterError) as info:
+        func(*args)
+    assert str(info.value) == message
+
+
 class TestArbitraryPrecision:
     def test_no_overflow_at_billion_vertices(self):
         n = 10**9

@@ -9,19 +9,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from genturan import (
-    Graph,
-    block_decomposition,
-    build_H,
-    build_St1,
-    build_St2,
-    build_extremal_odd,
-    ex_odd,
-    max_matching,
-    to_graph6,
-)
+from genturan import Graph, block_decomposition, max_matching, to_graph6
+from genturan.blocks import _raw_blocks
 
-from conftest import connected_graphs, graphs, random_graph
+from conftest import connected_graphs, graphs, random_graph, relabeled_witnesses
 
 nx = pytest.importorskip("networkx")
 
@@ -31,31 +22,6 @@ def _to_nx(g: Graph):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-def _relabeled_witnesses():
-    """Extremal witnesses of every kind up to n = 60, each relabelled by a
-    seeded permutation."""
-    rng = random.Random(60)
-    built = []
-    for k in (2, 3, 4):
-        for s in (2 * k + 1, 3 * k, 4 * k):
-            for r in (2, k + 1):
-                attached = ex_odd(10**6, k, s, r).witness.attached
-                order = (2 * k + 1) + sum(c - 1 for c in attached)
-                for n in sorted({order, (order + 60) // 2, 60}):
-                    built.append(build_extremal_odd(n, k, s, r))
-    for k in (2, 4, 6):
-        for q in (1, 3):
-            for n in ((q - 1) * (2 * k - 2) + 2 * k, 60):
-                built.append(build_St1(n, k, q))
-                built.append(build_St2(n, k, q))
-    for k, a in ((5, 1), (8, 2), (10, 4)):
-        built.append(build_H(30, k, a))
-    for g in built:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        yield g.relabeled(perm)
 
 
 class TestGraph6:
@@ -76,11 +42,15 @@ class TestGraph6:
 class TestMaxMatching:
     def test_witnesses_match_networkx(self):
         count = 0
-        for g in _relabeled_witnesses():
+        for g in relabeled_witnesses():
             expected = len(nx.max_weight_matching(_to_nx(g), maxcardinality=True))
             assert max_matching(g) == expected, to_graph6(g)
             count += 1
         assert count > 60
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
 class TestBlocks:
@@ -88,11 +58,30 @@ class TestBlocks:
     @given(connected_graphs(max_n=12))
     def test_blocks_match_biconnected_components(self, g):
         dec = block_decomposition(g)
-        components = [tuple(sorted(c)) for c in nx.biconnected_components(_to_nx(g))]
+        h = _to_nx(g)
+        components = [tuple(sorted(c)) for c in nx.biconnected_components(h)]
         assert sorted(dec.blocks) == sorted(components)
         assert sorted(dec.block_orders()) == sorted(len(c) for c in components)
+        assert dec.cut_vertices == tuple(sorted(nx.articulation_points(h)))
 
     def test_witness_block_orders(self):
-        for g in _relabeled_witnesses():
-            orders = [len(c) for c in nx.biconnected_components(_to_nx(g))]
-            assert sorted(block_decomposition(g).block_orders()) == sorted(orders)
+        for g in relabeled_witnesses():
+            h = _to_nx(g)
+            dec = block_decomposition(g)
+            orders = [len(c) for c in nx.biconnected_components(h)]
+            assert sorted(dec.block_orders()) == sorted(orders)
+            assert dec.cut_vertices == tuple(sorted(nx.articulation_points(h)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=13, min_n=0))
+    def test_raw_blocks_on_any_graph(self, g):
+        # _raw_blocks also runs on disconnected twin kernels, which
+        # block_decomposition rejects: every component and every isolated
+        # vertex must come out
+        masks, cuts = _raw_blocks(g)
+        h = _to_nx(g)
+        expected = [_mask(c) for c in nx.biconnected_components(h)]
+        expected += [1 << v for v in nx.isolates(h)]
+        assert len(masks) == len(set(masks))
+        assert set(masks) == set(expected)
+        assert cuts == _mask(nx.articulation_points(h))
