@@ -1,12 +1,22 @@
 """Exact circumference and long-cycle detection.
 
 Every cycle of a graph lies inside one block, so both searches decompose
-the graph into blocks and run a path DFS per block.  Four devices keep
+the graph into blocks and run a path DFS per block.  Five devices keep
 the search exact but fast on the structured graphs this package builds:
 
 * both searches run on the twin kernel (graphs.twin_kernel, which proves
   it exact) and map the cycle found back; the dominated-clique blocks of
   the extremal graphs shrink to a handful of vertices;
+* a block is searched only if a twin-class count leaves room for a cycle
+  of the length needed (_cycle_bound).  An open-twin class T with
+  neighbourhood N is independent, so a cycle C reaches each vertex of
+  C & T from N and back: |C & T| <= |C & N| <= |N|, and equality makes C
+  alternate between T and N inside T | N, so a cycle longer than
+  |T| + |N| uses at most |N| - 1 members of T.  Summing these caps over
+  the classes, which partition the block, bounds the length of every
+  such cycle.  The central kernel blocks of St2 and of H(n, k, a) with
+  2a + 1 < k have as many vertices as the forbidden length, the bound
+  puts them one short, and so they need no DFS at all;
 * start vertices are processed in decreasing-degree order and deleted
   once exhausted (all cycles through them have been seen);
 * vertices with identical open neighborhoods among the still-alive
@@ -14,9 +24,12 @@ the search exact but fast on the structured graphs this package builds:
   member of each such twin class is ever tried as an extension.  The
   kernel leaves up to |N| members per class and deleting exhausted start
   vertices makes new twins, so this still pays: on the extremal witness
-  grid up to n = 60 (976 graphs, 1952 calls; 2-vCPU Xeon, Python 3.11),
-  `find_cycle_geq` took 1.8 s with both devices, 13.6 s with the kernel
-  alone and 7.7 s with neither;
+  grid up to n = 60 (976 seed-1 relabelled graphs, 1952 calls at the
+  family threshold and one below; 2-vCPU Xeon, Python 3.11.7),
+  `find_cycle_geq` takes 0.18-0.27 s with every device, 1.1-1.3 s
+  without the block bound, and in single runs 10.8 s with neither the
+  bound nor the twin skip and 6.8 s with neither the bound nor the
+  kernel;
 * a branch is cut when the path length plus the number of vertices still
   reachable from its endpoint cannot beat the best known cycle (or reach
   the requested length).
@@ -29,7 +42,14 @@ from __future__ import annotations
 
 from .blocks import _raw_blocks
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, _iter_bits, reach, twin_class_masks, twin_kernel
+from .graphs import (
+    Graph,
+    _iter_bits,
+    reach,
+    twin_class_masks,
+    twin_classes,
+    twin_kernel,
+)
 
 
 class _SearchState:
@@ -112,19 +132,46 @@ def _longest_cycle_in_block(
     return best_len, best_cycle
 
 
+def _cycle_bound(adj: tuple[int, ...], block: int, needed: int) -> int:
+    """A number U such that every cycle of G[block] with at least `needed`
+    vertices has at most U of them, so U < needed rules such cycles out.
+
+    U sums, over the open-twin classes T of G[block] with neighbourhood N
+    (within block), min(|T|, |N| - 1) if |T| + |N| < needed and min(|T|, |N|)
+    otherwise, never below 0.  Let C be a cycle with |C| >= needed.  T is
+    independent, so both cycle edges at each vertex of C & T end in N, and
+    N takes at most two cycle edges per vertex: 2|C & T| <= 2|C & N|.  With
+    equality every cycle edge at C & N ends in T as well, so C alternates
+    between T and N and lies inside T | N, which is impossible when
+    |T| + |N| < needed <= |C|; there |C & T| <= |N| - 1.  The classes
+    partition block, so the caps add up to a bound on |C|.  U <= |block|;
+    on the twin-kernel block of St2(n, 6, q) (K_7 with five dominators,
+    plus five attachment vertices) it gives 7 + 4 = 11 < 12.
+    """
+    bound = 0
+    for hood, members in twin_classes(adj, block).items():
+        size, degree = members.bit_count(), hood.bit_count()
+        cap = degree if size + degree >= needed else max(degree - 1, 0)
+        bound += min(size, cap)
+    return bound
+
+
 def _longest_cycle(
     graph: Graph, target: int | None, budget: int | None
 ) -> tuple[int, list[int] | None]:
     """(length, vertex list) of a longest cycle, or with target set of the
     first one found of length >= target; (0, None) if acyclic.  Blocks of
-    the twin kernel are searched largest first."""
+    the twin kernel are searched largest first, each only if _cycle_bound
+    leaves room for a cycle of the length needed."""
     kernel, labels = twin_kernel(graph)
     adj = kernel.adjacency_masks
     masks = [b for b in _raw_blocks(kernel)[0] if b.bit_count() >= 3]
     state = _SearchState(budget)
     best_len, best_cycle = 0, None
     for mask in sorted(masks, key=lambda m: -m.bit_count()):
-        if mask.bit_count() < (target or best_len + 1):
+        needed = target or best_len + 1
+        # _cycle_bound never exceeds the block size; the size test is cheaper
+        if mask.bit_count() < needed or _cycle_bound(adj, mask, needed) < needed:
             continue
         length, cycle = _longest_cycle_in_block(adj, mask, kernel.n, target, state)
         if length > best_len:

@@ -148,9 +148,9 @@ def reach(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> int:
     return seen
 
 
-def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> list[int]:
-    """class_mask[v] = bitmask of the alive vertices whose neighborhood
-    within alive equals that of v (0 for v outside alive).
+def twin_classes(adj: tuple[int, ...] | list[int], alive: int) -> dict[int, int]:
+    """The twin classes of the graph induced on alive, as a map from a
+    neighborhood within alive to the mask of the alive vertices that have it.
 
     On open neighborhoods (adj as stored) the classes are sets of pairwise
     non-adjacent twins; on closed neighborhoods (adj[v] | 1 << v) they are
@@ -163,8 +163,14 @@ def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> li
         m ^= low
         key = adj[low.bit_length() - 1] & alive
         groups[key] = groups.get(key, 0) | low
+    return groups
+
+
+def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> list[int]:
+    """class_mask[v] = bitmask of v's class in twin_classes(adj, alive)
+    (0 for v outside alive)."""
     class_mask = [0] * n
-    for members in groups.values():
+    for members in twin_classes(adj, alive).values():
         m = members
         while m:
             low = m & -m

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genturan import (
     BudgetExceededError,
@@ -19,7 +20,7 @@ from genturan import (
     has_cycle_geq,
 )
 from genturan.blocks import _raw_blocks
-from genturan.cycles import _SearchState, _longest_cycle_in_block
+from genturan.cycles import _SearchState, _cycle_bound, _longest_cycle_in_block
 from genturan.graphs import twin_kernel
 
 from conftest import (
@@ -173,3 +174,82 @@ class TestTwinKernel:
         kernel, labels = twin_kernel(g)
         assert kernel.n == len(labels) == 21
         assert list(labels) == sorted(labels)
+
+
+def _clique_with_twins(m: int, t: int, bridge: bool) -> Graph:
+    """K_m on 0..m-1 (the neighbourhood N), t vertices joined to all of it
+    (the class T), and with bridge one more vertex on the ends 0 and m-1
+    of N, so that a cycle can leave T | N."""
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges += [(u, w) for w in range(m, m + t) for u in range(m)]
+    if bridge:
+        edges += [(0, m + t), (m - 1, m + t)]
+    return Graph(m + t + bridge, edges)
+
+
+class TestCycleBound:
+    """_cycle_bound(adj, S, needed) must reach the length of every cycle
+    of G[S] with at least `needed` vertices; the DFS is skipped below it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sound_on_arbitrary_vertex_sets(self, data):
+        g = data.draw(graphs(max_n=8, min_n=3))
+        subset = data.draw(st.integers(0, (1 << g.n) - 1))
+        inside = Graph(
+            g.n, [(u, v) for u, v in g.edges() if (subset >> u) & (subset >> v) & 1]
+        )
+        c = circumference_by_enumeration(inside)
+        for needed in range(3, subset.bit_count() + 1):
+            bound = _cycle_bound(g.adjacency_masks, subset, needed)
+            assert bound <= subset.bit_count()
+            if c >= needed:
+                assert bound >= c, (needed, c, bound)
+
+    def test_isolated_vertex_costs_nothing(self):
+        # a triangle and an isolated vertex: the isolated class has N empty
+        g = Graph(4, [(0, 1), (0, 2), (1, 2)])
+        assert _cycle_bound(g.adjacency_masks, 0b1111, 3) == 3
+
+    def test_planted_class_as_large_as_its_neighbourhood(self):
+        # |T| = |N| = m: the 2m-cycle alternates between T and N and uses
+        # all of T; leaving T | N through the bridge costs one member of T
+        for m in (2, 3, 4):
+            g = _clique_with_twins(m, m, bridge=False)
+            full = (1 << g.n) - 1
+            assert circumference_by_enumeration(g) == 2 * m
+            assert _cycle_bound(g.adjacency_masks, full, 2 * m) == 2 * m
+        for m in (3, 4):
+            g = _clique_with_twins(m, m, bridge=True)
+            full = (1 << g.n) - 1
+            assert circumference_by_enumeration(g) == 2 * m
+            assert _cycle_bound(g.adjacency_masks, full, 2 * m + 1) == 2 * m
+            assert find_cycle_geq(g, 2 * m + 1, budget=0) is None
+
+    def test_planted_class_one_short_of_its_neighbourhood(self):
+        # |T| = |N| - 1: a cycle through the bridge uses all of T
+        for m in (3, 4):
+            g = _clique_with_twins(m, m - 1, bridge=True)
+            full = (1 << g.n) - 1
+            assert circumference_by_enumeration(g) == 2 * m
+            for needed in (2 * m - 1, 2 * m):
+                assert _cycle_bound(g.adjacency_masks, full, needed) == 2 * m
+
+    def test_extremal_blocks_need_no_search(self):
+        # budget=0 raises on the first DFS expansion, so these answers are
+        # certified by the bound alone on every block of the twin kernel
+        rng = random.Random(12)
+        graphs_and_thresholds = []
+        for q in range(1, 6):
+            smallest = (q - 1) * 10 + 12  # the order of St2(·, 6, q)
+            for n in sorted({smallest, min(smallest + 7, 60), 60}):
+                for build in (build_St1, build_St2):
+                    graphs_and_thresholds.append((build(n, 6, q), 12))
+        for k in range(5, 11):
+            for a in range(2, (k - 1) // 2 + 1):
+                for n in (k, 30):
+                    graphs_and_thresholds.append((build_H(n, k, a), k))
+        for g, c in graphs_and_thresholds:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert find_cycle_geq(g.relabeled(perm), c, budget=0) is None
