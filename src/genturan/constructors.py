@@ -109,34 +109,34 @@ def build_H(n, k: int | None = None, a: int | None = None) -> Graph:
         params = n
     else:
         params = HGraphParams(n=n, k=k, a=a)
-    n, k, a = params.n, params.k, params.a
-    clique = k - a
-    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
-    for p in range(clique, n):
-        for d in range(a):
-            edges.append((d, p))
-    return Graph(n, edges)
+    n, a, clique = params.n, params.a, params.k - params.a
+    full, low = (1 << n) - 1, (1 << clique) - 1
+    # dominators see every other vertex, the rest of the clique sees the
+    # clique, and each attachment vertex sees exactly the dominators
+    return Graph._trusted(
+        [full ^ (1 << v) for v in range(a)]
+        + [low ^ (1 << v) for v in range(a, clique)]
+        + [(1 << a) - 1] * (n - clique)
+    )
 
 
 def build_block_star(spec: BlockStarSpec) -> Graph:
     """Render a block star: central block first, then each attached clique
     sharing exactly the hub (vertex 0)."""
+    m = spec.central_order
     if isinstance(spec.central, int):
-        base = Graph.complete(spec.central)
+        base = Graph.complete(m)
     else:
         base = build_H(spec.central)
-    n = spec.total_order
-    edges = list(base.edges())
-    nxt = spec.central_order
+    masks = list(base.adjacency_masks)
+    nxt = m
     for order in spec.attached:
-        members = [0] + list(range(nxt, nxt + order - 1))
+        block = ((1 << (order - 1)) - 1) << nxt
+        masks.extend(block ^ (1 << v) | 1 for v in range(nxt, nxt + order - 1))
         nxt += order - 1
-        edges.extend(
-            (members[i], members[j])
-            for i in range(order)
-            for j in range(i + 1, order)
-        )
-    return Graph(n, edges)
+    # the hub (vertex 0) sees every attached vertex, and they come last
+    masks[0] |= (1 << nxt) - (1 << m)
+    return Graph._trusted(masks)
 
 
 def build_extremal_odd(n: int, k: int, s: int, r: int) -> Graph:
@@ -206,16 +206,12 @@ def build_multipartite_G(n: int, k: int, s: int) -> Graph:
         raise ParameterError(f"need n > s, got n={n}, s={s}")
     base, rem = divmod(s, k - 1)
     sizes = [n - s] + [base + 1] * rem + [base] * (k - 1 - rem)
-    classes = []
-    nxt = 0
+    full = (1 << n) - 1
+    masks = []
     for size in sizes:
-        classes.append(list(range(nxt, nxt + size)))
-        nxt += size
-    edges = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            edges.extend((u, v) for u in classes[i] for v in classes[j])
-    return Graph(n, edges)
+        part = ((1 << size) - 1) << len(masks)
+        masks.extend([full ^ part] * size)
+    return Graph._trusted(masks)
 
 
 def format_block_star_spec(spec: BlockStarSpec) -> str:

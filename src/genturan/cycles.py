@@ -16,7 +16,9 @@ the search exact but fast on the structured graphs this package builds:
   the classes, which partition the block, bounds the length of every
   such cycle.  The central kernel blocks of St2 and of H(n, k, a) with
   2a + 1 < k have as many vertices as the forbidden length, the bound
-  puts them one short, and so they need no DFS at all;
+  puts them one short, and so they need no DFS at all.  The longest-cycle
+  search of a block also stops as soon as the bound on the vertices not
+  yet exhausted leaves no room for a cycle longer than the best found;
 * start vertices are processed in decreasing-degree order and deleted
   once exhausted (all cycles through them have been seen);
 * vertices with identical open neighborhoods among the still-alive
@@ -76,7 +78,10 @@ def _longest_cycle_in_block(
 ) -> tuple[int, list[int] | None]:
     """Longest cycle using only vertices of block_mask.
 
-    With target set, stops at the first cycle of length >= target.
+    With target set, stops at the first cycle of length >= target; without
+    it, as soon as _cycle_bound rules out a longer cycle than the best
+    found among the vertices still alive, which hold every cycle the
+    remaining search could see.
     """
     best_len = 0
     best_cycle: list[int] | None = None
@@ -100,8 +105,11 @@ def _longest_cycle_in_block(
                 if len(path) > best_len:
                     best_len = len(path)
                     best_cycle = list(path)
-                    if target is not None and best_len >= target:
-                        return True
+                    if target is not None:
+                        if best_len >= target:
+                            return True
+                    elif _cycle_bound(adj, alive, best_len + 1) < best_len + 1:
+                        return True  # no longer cycle left in alive
             free = alive & ~on_path
             threshold = best_len if target is None else target - 1
             if len(path) + free.bit_count() <= threshold:

@@ -5,6 +5,16 @@ upper-triangle adjacency bits in column order ((0,1), (0,2), (1,2),
 (0,3), ...), packed big-endian into 6-bit groups offset by 63.  The
 optional ">>graph6<<" header is accepted on input and never written.
 
+Both directions work on whole masks, not bit by bit.  The encoder writes
+column v (u = 0..v-1) as one binary string of adj[v]'s low v bits, joins
+the columns, and turns the result into bytes with one int(bits, 2).  A
+byte string of 24k bits is 4k 6-bit groups, and base64 writes exactly
+those groups, so binascii does the packing and a translation table moves
+its alphabet onto chr(63)..chr(126).  The decoder inverts this: base64
+back to bytes, one binary string, each column's low mask by one
+int(), and the upper bits set while walking the column's ones.  Bits
+past the last pair (padding) are ignored.
+
 The edge-list format is one "u v" pair per line, 0-indexed, blank lines
 ignored.  It carries no vertex count, so trailing isolated vertices do
 not survive a round trip unless n is passed explicitly when reading.
@@ -12,10 +22,17 @@ not survive a round trip unless n is passed explicitly when reading.
 
 from __future__ import annotations
 
+import binascii
+
 from .errors import GraphFormatError, ParameterError
 from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6_BYTES = bytes(range(63, 127))
+_FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6_BYTES)
+_TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64)
 
 
 def _encode_order(n: int) -> list[int]:
@@ -33,22 +50,15 @@ def _encode_order(n: int) -> list[int]:
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as a graph6 string (no header, no newline)."""
     n = graph.n
-    out = _encode_order(n)
-    acc = 0
-    nbits = 0
-    for v in range(1, n):
-        col = graph.adjacency_mask(v)
-        for u in range(v):
-            acc = (acc << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(acc + 63)
-    return "".join(chr(c) for c in out)
+    adj = graph.adjacency_masks
+    # column v lists u = 0..v-1, lowest bit first
+    bits = "".join(format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    groups = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    body = binascii.b2a_base64(
+        int(bits or "0", 2).to_bytes(len(bits) // 8, "big"), newline=False
+    ).translate(_FROM_BASE64)
+    return bytes(_encode_order(n)).decode("ascii") + body[:groups].decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -58,39 +68,44 @@ def from_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if not s.isascii() or s.encode("ascii").translate(None, _GRAPH6_BYTES):
         raise GraphFormatError("graph6 contains bytes outside chr(63)..chr(126)")
-    if data[0] != 63:
-        n = data[0]
+    raw = s.encode("ascii")
+    if raw[0] != 126:
+        n = raw[0] - 63
         pos = 1
-    elif len(data) >= 2 and data[1] != 63:
-        if len(data) < 4:
+    elif len(raw) >= 2 and raw[1] != 126:
+        if len(raw) < 4:
             raise GraphFormatError("truncated graph6 order field")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
         pos = 4
     else:
-        if len(data) < 8:
+        if len(raw) < 8:
             raise GraphFormatError("truncated graph6 order field")
         n = 0
-        for b in data[2:8]:
-            n = (n << 6) | b
+        for b in raw[2:8]:
+            n = (n << 6) | (b - 63)
         pos = 8
     need = (n * (n - 1) // 2 + 5) // 6
-    bits_bytes = data[pos:]
-    if len(bits_bytes) != need:
+    body = raw[pos:]
+    if len(body) != need:
         raise GraphFormatError(
-            f"graph6 body has {len(bits_bytes)} groups, expected {need} for n={n}"
+            f"graph6 body has {len(body)} groups, expected {need} for n={n}"
         )
-    edges = []
-    bit_index = 0
+    body = body.translate(_TO_BASE64) + b"A" * (-len(body) % 4)
+    data = binascii.a2b_base64(body)
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    adj = [0] * n
+    p = 0
     for v in range(1, n):
-        for u in range(v):
-            group, offset = divmod(bit_index, 6)
-            if (bits_bytes[group] >> (5 - offset)) & 1:
-                edges.append((u, v))
-            bit_index += 1
-    return Graph(n, edges)
+        adj[v] = int(bits[p:p + v][::-1], 2)
+        bit = 1 << v
+        u = bits.find("1", p, p + v)
+        while u >= 0:
+            adj[u - p] |= bit
+            u = bits.find("1", u + 1, p + v)
+        p += v
+    return Graph._trusted(adj)
 
 
 def to_edgelist(graph: Graph) -> str:

@@ -68,7 +68,7 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         full = (1 << n) - 1
-        return cls.from_adjacency_masks([full ^ (1 << v) for v in range(n)])
+        return cls._trusted([full ^ (1 << v) for v in range(n)])
 
     @property
     def num_edges(self) -> int:

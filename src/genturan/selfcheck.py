@@ -118,11 +118,19 @@ def _check_oracle() -> None:
 
 
 def _check_io() -> None:
-    for g in [build_H(10, 5, 2), build_woodall_G0(7, 5), Graph.complete(4)]:
+    # build_extremal_odd(70, ...) needs the four-byte graph6 order field
+    for g in [
+        build_H(10, 5, 2),
+        build_woodall_G0(7, 5),
+        Graph.complete(4),
+        build_extremal_odd(70, 3, 10, 3),
+    ]:
         assert from_graph6(to_graph6(g)) == g
     assert to_graph6(Graph.complete(4)) == "C~"
     g = build_block_star(ex_odd(24, 3, 7, 3).witness)
     assert g == build_extremal_odd(24, 3, 7, 3)
+    # the constructors write masks directly: check symmetry, loops, range
+    assert Graph.from_adjacency_masks(g.adjacency_masks) == g
 
 
 _CHECKS = [

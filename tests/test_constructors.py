@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genturan import (
     BlockStarSpec,
@@ -17,6 +19,8 @@ from genturan import (
     build_multipartite_G,
     build_woodall_G0,
     count_cliques,
+    ex_even,
+    ex_odd,
     f_value,
     format_block_star_spec,
     has_cycle_geq,
@@ -24,6 +28,7 @@ from genturan import (
     max_matching,
     parse_block_star_spec,
     st1_spec,
+    st2_spec,
     to_edgelist,
     to_graph6,
 )
@@ -229,3 +234,129 @@ class TestMultipartite:
         g = build_multipartite_G(12, 3, 4)
         assert is_family_free(g, ForbiddenFamily(matching_bound=4))
         assert not is_family_free(g, ForbiddenFamily(matching_bound=3))
+
+
+# The constructors write adjacency masks in closed form; these are the
+# edge-list versions they replaced, kept as the reference.
+
+
+def _reference_H(params: HGraphParams) -> Graph:
+    n, k, a = params.n, params.k, params.a
+    clique = k - a
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    for p in range(clique, n):
+        for d in range(a):
+            edges.append((d, p))
+    return Graph(n, edges)
+
+
+def _reference_block_star(spec: BlockStarSpec) -> Graph:
+    if isinstance(spec.central, int):
+        base = Graph.complete(spec.central)
+    else:
+        base = _reference_H(spec.central)
+    edges = list(base.edges())
+    nxt = spec.central_order
+    for order in spec.attached:
+        members = [0] + list(range(nxt, nxt + order - 1))
+        nxt += order - 1
+        edges.extend(
+            (members[i], members[j])
+            for i in range(order)
+            for j in range(i + 1, order)
+        )
+    return Graph(spec.total_order, edges)
+
+
+def _reference_multipartite(n: int, k: int, s: int) -> Graph:
+    base, rem = divmod(s, k - 1)
+    sizes = [n - s] + [base + 1] * rem + [base] * (k - 1 - rem)
+    classes = []
+    nxt = 0
+    for size in sizes:
+        classes.append(list(range(nxt, nxt + size)))
+        nxt += size
+    edges = []
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            edges.extend((u, v) for u in classes[i] for v in classes[j])
+    return Graph(n, edges)
+
+
+def _acceptance_grid_witnesses():
+    """(graph, spec) for every witness the acceptance criteria build."""
+    for k in range(4, 11):
+        for a in range(2, k // 2 + 1):
+            for n in range(k - a, 31):
+                spec = BlockStarSpec(central=HGraphParams(n, k, a))
+                yield build_H(n, k, a), spec
+    for k in range(2, 6):
+        for r in range(2, k + 2):
+            for s in range(2 * k + 1, 4 * k + 1):
+                attached = ex_odd(10**6, k, s, r).witness.attached
+                for n in range(2 * k + 1 + sum(c - 1 for c in attached), 61):
+                    yield build_extremal_odd(n, k, s, r), ex_odd(n, k, s, r).witness
+    for k in range(2, 7):
+        for q in range(1, 6):
+            for n in range((q - 1) * (2 * k - 2) + 2 * k - 1, 61):
+                yield build_St1(n, k, q), st1_spec(n, k, q)
+                if n > (q - 1) * (2 * k - 2) + 2 * k - 1:
+                    yield build_St2(n, k, q), st2_spec(n, k, q)
+    for k in range(3, 9):
+        for s in range(k - 1, 4 * k + 1):
+            for r in range(2, k + 1):
+                spec = ex_even(10 * k + 40, k, s, r).witness
+                yield build_block_star(spec), spec
+
+
+@st.composite
+def block_star_specs(draw) -> BlockStarSpec:
+    if draw(st.booleans()):
+        central = draw(st.integers(1, 9))
+    else:
+        k = draw(st.integers(2, 10))
+        a = draw(st.integers(1, k // 2))
+        central = HGraphParams(draw(st.integers(k - a, k - a + 12)), k, a)
+    attached = draw(st.lists(st.integers(2, 8), max_size=5))
+    return BlockStarSpec(central=central, attached=tuple(attached))
+
+
+class TestClosedFormMasks:
+    @staticmethod
+    def _same_as_reference(g: Graph, spec: BlockStarSpec) -> None:
+        assert g.adjacency_masks == _reference_block_star(spec).adjacency_masks
+        # symmetric, loop-free and in range
+        assert Graph.from_adjacency_masks(g.adjacency_masks) == g
+
+    def test_acceptance_grid_witnesses(self):
+        count = 0
+        for g, spec in _acceptance_grid_witnesses():
+            self._same_as_reference(g, spec)
+            count += 1
+        assert count > 3000
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_star_specs())
+    def test_drawn_block_stars(self, spec):
+        self._same_as_reference(build_block_star(spec), spec)
+        if not isinstance(spec.central, int):
+            h = build_H(spec.central)
+            assert h.adjacency_masks == _reference_H(spec.central).adjacency_masks
+
+    def test_multipartite_grid(self):
+        for k in range(2, 7):
+            for s in range(k - 1, 3 * k):
+                for n in range(s + 1, s + 12):
+                    g = build_multipartite_G(n, k, s)
+                    assert g == _reference_multipartite(n, k, s)
+                    assert Graph.from_adjacency_masks(g.adjacency_masks) == g
+
+    def test_extremal_odd_at_scale(self):
+        # no timing assert: the edge count follows from the block sizes
+        spec = ex_odd(10**5, 3, 10, 3).witness
+        g = build_extremal_odd(10**5, 3, 10, 3)
+        h = spec.central
+        central_edges = comb(h.k - h.a, 2) + h.a * (h.n - (h.k - h.a))
+        assert g.n == spec.total_order == 10**5
+        assert g.num_edges == central_edges + sum(comb(c, 2) for c in spec.attached)
+        assert g.degree(0) == h.n - 1 + sum(c - 1 for c in spec.attached)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -112,14 +113,20 @@ class TestHasCycleGeq:
 
 
 def _unreduced_circumference(g: Graph) -> int:
-    """Block-by-block DFS on the full blocks, without the twin kernel."""
+    """Block-by-block DFS on the full blocks, without the twin kernel and
+    with _cycle_bound replaced by the trivial bound, the vertex count."""
+
+    def vertex_count(adj, block, needed):
+        return block.bit_count()
+
     best = 0
-    for mask in _raw_blocks(g)[0]:
-        if mask.bit_count() >= 3:
-            length, _ = _longest_cycle_in_block(
-                g.adjacency_masks, mask, g.n, None, _SearchState(None)
-            )
-            best = max(best, length)
+    with mock.patch("genturan.cycles._cycle_bound", vertex_count):
+        for mask in _raw_blocks(g)[0]:
+            if mask.bit_count() >= 3:
+                length, _ = _longest_cycle_in_block(
+                    g.adjacency_masks, mask, g.n, None, _SearchState(None)
+                )
+                best = max(best, length)
     return best
 
 
@@ -253,3 +260,15 @@ class TestCycleBound:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert find_cycle_geq(g.relabeled(perm), c, budget=0) is None
+
+    def test_circumference_stops_once_the_bound_closes(self):
+        # after the 11-cycle of the St2 kernel block the bound on the
+        # vertices still alive is 11, so no search for a 12-cycle follows;
+        # proving its absence by DFS alone takes about 17,000 expansions
+        rng = random.Random(12)
+        for q in range(1, 6):
+            for n in sorted({(q - 1) * 10 + 12, 60}):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = build_St2(n, 6, q).relabeled(perm)
+                assert circumference(g, budget=2000) == 11

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from genturan import (
     Graph,
     GraphFormatError,
+    build_extremal_odd,
     from_edgelist,
     from_graph6,
     to_edgelist,
@@ -35,13 +36,40 @@ class TestGraph6:
         g = Graph(70, [(0, 69)])
         assert from_graph6(to_graph6(g)) == g
 
+    MALFORMED = [
+        ("", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("C~\u00e9", "graph6 contains bytes outside chr(63)..chr(126)"),
+        ("C>", "graph6 contains bytes outside chr(63)..chr(126)"),
+        ("C~\t~", "graph6 contains bytes outside chr(63)..chr(126)"),
+        ("~", "truncated graph6 order field"),
+        ("~?@", "truncated graph6 order field"),
+        ("~~?????", "truncated graph6 order field"),
+        ("C~~~", "graph6 body has 3 groups, expected 1 for n=4"),
+        ("C", "graph6 body has 0 groups, expected 1 for n=4"),
+        ("??", "graph6 body has 1 groups, expected 0 for n=0"),
+        ("~?@?", "graph6 body has 0 groups, expected 336 for n=64"),
+        ("~~?????@??", "graph6 body has 2 groups, expected 0 for n=1"),
+    ]
+
     def test_malformed_inputs(self):
-        with pytest.raises(GraphFormatError):
-            from_graph6("")
-        with pytest.raises(GraphFormatError):
-            from_graph6("C~~~")  # too many body groups
-        with pytest.raises(GraphFormatError):
-            from_graph6("C")  # too few
+        for text, message in self.MALFORMED:
+            with pytest.raises(GraphFormatError) as info:
+                from_graph6(text)
+            assert str(info.value) == message, text
+
+    def test_padding_bits_ignored(self):
+        # n = 3 uses 3 of the 6 body bits; "~" sets the 3 padding bits too
+        assert from_graph6("B~") == Graph.complete(3)
+        assert from_graph6("Bx") == Graph.complete(3)
+        assert from_graph6("A_") == from_graph6("A~") == Graph(2, [(0, 1)])
+
+    def test_large_witness_round_trip(self):
+        # 2 MB of graph6; the order field takes four bytes
+        g = build_extremal_odd(5000, 3, 10, 3)
+        text = to_graph6(g)
+        assert len(text) == 4 + (5000 * 4999 // 2 + 5) // 6
+        assert from_graph6(text) == g
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(max_n=12, min_n=0))

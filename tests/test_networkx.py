@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from genturan import Graph, block_decomposition, max_matching, to_graph6
+from genturan import Graph, block_decomposition, from_graph6, max_matching, to_graph6
 from genturan.blocks import _raw_blocks
 
 from conftest import connected_graphs, graphs, random_graph, relabeled_witnesses
@@ -37,6 +37,28 @@ class TestGraph6:
             g = random_graph(rng, n, 0.3)
             expected = nx.to_graph6_bytes(_to_nx(g), header=False).decode().strip()
             assert to_graph6(g) == expected, n
+
+    @staticmethod
+    def _decodes_like_networkx(text: str) -> None:
+        h = nx.from_graph6_bytes(text.encode())
+        g = from_graph6(text)
+        assert g.n == h.number_of_nodes()
+        assert set(g.edges()) == {(min(e), max(e)) for e in h.edges()}
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=12, min_n=0))
+    def test_decode_matches_networkx(self, g):
+        self._decodes_like_networkx(to_graph6(g))
+
+    def test_decode_matches_networkx_beyond_one_byte_order(self):
+        # n = 62 is the last one-byte order field, 63 and up take four bytes
+        rng = random.Random(64)
+        for n in (62, 63, 64, 100):
+            for p in (0.05, 0.5, 0.95):
+                h = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6))
+                self._decodes_like_networkx(
+                    nx.to_graph6_bytes(h, header=False).decode().strip()
+                )
 
 
 class TestMaxMatching:
