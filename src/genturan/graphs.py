@@ -4,11 +4,22 @@ Vertices are labeled 0..n-1.  Adjacency is stored as one Python integer
 bitmask per vertex, so adjacency tests are single bit probes and
 neighborhood intersections are bitwise ANDs regardless of n (Python ints
 are arbitrary precision, so the same code path serves n > 64).
+
+Cliques are counted on the quotient of the graph by its twin partition
+(twin_partition: classes of equal open or equal closed neighborhoods).
+Adjacency between two classes is all-or-nothing, since twins agree on
+every vertex outside their pair, so a K_r of the graph is a clique Q of
+the quotient with j_C >= 1 members taken from each class C of Q, the
+j_C summing to r.  A closed class is a clique, whose j members can be
+any C(|C|, j) of them; an open class is independent, so it gives one
+member, any of |T|.  The extremal graphs are block-stars of closed
+cliques and open classes, and shrink to a handful of classes.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .errors import ParameterError
@@ -17,11 +28,14 @@ from .errors import ParameterError
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction (but for twin_kernel's cache); graphs are
-    values here, so instances are safe to share between threads.
+    Immutable after construction, but for three caches, each filled on
+    first use and a function of the adjacency alone: twin_kernel's kernel,
+    clique_quotient's quotient and maximum_matching_edges's matching.
+    Equality and hashing ignore them.  Graphs are values here, so
+    instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "_adj", "_num_edges", "_kernel")
+    __slots__ = ("n", "_adj", "_num_edges", "_kernel", "_quotient", "_matching")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -37,7 +51,7 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._num_edges = sum(m.bit_count() for m in adj) // 2
-        self._kernel = None
+        self._kernel = self._quotient = self._matching = None
 
     @classmethod
     def from_adjacency_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -62,7 +76,7 @@ class Graph:
         g.n = len(masks)
         g._adj = tuple(masks)
         g._num_edges = sum(m.bit_count() for m in masks) // 2
-        g._kernel = None
+        g._kernel = g._quotient = g._matching = None
         return g
 
     @classmethod
@@ -122,8 +136,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
+_WIDE_MASK = 1024
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+    """Indices of set bits, ascending.
+
+    Clearing the low bit copies the whole remaining mask, so a mask wider
+    than _WIDE_MASK bits (a hub of a large graph) is walked as its binary
+    string instead, in time linear in its width."""
+    if mask.bit_length() > _WIDE_MASK:
+        bits = format(mask, "b")[::-1]
+        i = bits.find("1")
+        while i >= 0:
+            yield i
+            i = bits.find("1", i + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -179,6 +207,32 @@ def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> li
     return class_mask
 
 
+def twin_partition(masks: tuple[int, ...] | list[int]) -> list[list[int]]:
+    """The classes of twins (equal open or equal closed neighborhoods) of
+    the graph with adjacency masks masks, each as its increasing list of
+    vertices: first the open classes of two or more, then the closed ones,
+    singletons included, each kind by lowest member.
+
+    No vertex has both an open and a closed twin (a closed twin x of v is
+    adjacent to every open twin u of v, as x is in N(v) = N(u), and then u
+    is in N[x] = N[v]), so the classes partition the vertices, and
+    swapping two members of one class is an automorphism.  Members are
+    collected as lists, not masks, so a class of m members costs O(m)."""
+    open_twins: dict[int, list[int]] = {}
+    for v, m in enumerate(masks):
+        open_twins.setdefault(m, []).append(v)
+    classes = []
+    closed_twins: dict[int, list[int]] = {}
+    for members in open_twins.values():
+        if len(members) > 1:
+            classes.append(members)
+        else:
+            v = members[0]
+            closed_twins.setdefault(masks[v] | 1 << v, []).append(v)
+    classes += closed_twins.values()
+    return classes
+
+
 def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     """The twin kernel of graph and its labels: kernel vertex i is vertex
     labels[i] of graph, and labels is increasing.
@@ -220,12 +274,40 @@ def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     return kernel or graph, graph._kernel[1]
 
 
+def clique_quotient(graph: Graph) -> tuple[int, dict[int, list[int]]]:
+    """The quotient of graph by twin_partition, as (reps, weights): reps
+    masks the lowest member of every class, which stands for the class,
+    so two classes are joined iff their representatives are; weights maps
+    the representative of each class of two or more to its row, in which
+    entry j - 1 counts the ways to take j members of the class into a
+    clique: C(|C|, j) for a closed class C, and |T| for j = 1 only for an
+    open class T.  A class missing from weights is one vertex.  Cached on
+    graph, as count_cliques asks for it once per r."""
+    if graph._quotient is None:
+        adj = graph._adj
+        reps = 0
+        weights = {}
+        for members in twin_partition(adj):
+            v = members[0]
+            reps |= 1 << v
+            size = len(members)
+            if size == 1:
+                continue
+            if (adj[v] >> members[1]) & 1:
+                weights[v] = [comb(size, j) for j in range(1, size + 1)]
+            else:
+                weights[v] = [size]
+        graph._quotient = (reps, weights)
+    return graph._quotient
+
+
 def count_cliques(graph: Graph, r: int) -> int:
     """Number of r-vertex subsets of `graph` that induce a complete subgraph.
 
-    N_1 = n and N_2 = the edge count; r larger than n gives 0.  Counting
-    walks the vertices in increasing order so each clique is enumerated
-    exactly once; the candidate set shrinks by neighborhood intersection.
+    N_1 = n and N_2 = the edge count; r larger than n gives 0.  For r >= 3
+    it sums, over the cliques Q of the clique_quotient, the product over
+    the classes C of Q of the ways to take j_C members of C, over the j_C
+    >= 1 that sum to r (see the module docstring).
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
@@ -233,7 +315,55 @@ def count_cliques(graph: Graph, r: int) -> int:
         return graph.n
     if r == 2:
         return graph.num_edges
-    return count_cliques_in_mask(graph._adj, (1 << graph.n) - 1, r)
+    reps, weights = clique_quotient(graph)
+    multi = slack = 0
+    for v, row in weights.items():
+        multi |= 1 << v
+        slack += len(row) - 1
+    return _weighted_cliques(graph._adj, weights, multi, slack, reps, r)
+
+
+def _weighted_cliques(
+    adj: tuple[int, ...],
+    weights: dict[int, list[int]],
+    multi: int,
+    slack: int,
+    cand: int,
+    r: int,
+) -> int:
+    """Ways to take r vertices from the classes represented in cand so
+    that they form a clique: count_cliques_in_mask with class weights.
+    multi masks the representatives in weights; every other class is one
+    vertex and is taken as count_cliques_in_mask takes it.  A class gives
+    at most len(weights[v]) vertices and slack sums len - 1 over all of
+    them, so fewer than r - slack classes cannot hold r vertices, nor
+    fewer than r classes once cand holds no class of weights."""
+    if r == 1:
+        total = cand.bit_count()
+        m = cand & multi
+        while m:
+            low = m & -m
+            m ^= low
+            total += weights[low.bit_length() - 1][0] - 1
+        return total
+    total = 0
+    while cand and cand.bit_count() + (slack if cand & multi else 0) >= r:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        rest = cand & adj[v]
+        if not low & multi:
+            if rest:
+                total += _weighted_cliques(adj, weights, multi, slack, rest, r - 1)
+            continue
+        row = weights[v]
+        if len(row) >= r:
+            total += row[r - 1]
+        if rest:
+            for j in range(1, min(len(row), r - 1) + 1):
+                ways = _weighted_cliques(adj, weights, multi, slack, rest, r - j)
+                total += row[j - 1] * ways
+    return total
 
 
 def count_cliques_in_mask(adj: tuple[int, ...] | list[int], cand: int, r: int) -> int:

@@ -122,10 +122,18 @@ def max_matching(graph: Graph) -> int:
 
 def maximum_matching_edges(graph: Graph) -> list[tuple[int, int]]:
     """One maximum matching as increasing (u, v) pairs with u < v, found on
-    the twin kernel (graphs.twin_kernel) and mapped back."""
-    kernel, labels = twin_kernel(graph)
-    match = _maximum_matching_array(kernel)
-    return [(labels[u], labels[match[u]]) for u in range(kernel.n) if match[u] > u]
+    the twin kernel (graphs.twin_kernel) and mapped back.
+
+    The matching is cached on graph, so is_family_free, max_matching and
+    berge_tutte_certificate run one blossom between them; each call
+    returns a fresh list."""
+    if graph._matching is None:
+        kernel, labels = twin_kernel(graph)
+        match = _maximum_matching_array(kernel)
+        graph._matching = [
+            (labels[u], labels[match[u]]) for u in range(kernel.n) if match[u] > u
+        ]
+    return list(graph._matching)
 
 
 def max_matching_by_enumeration(graph: Graph) -> int:

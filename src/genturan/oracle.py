@@ -59,7 +59,7 @@ from .graphs import (
     _iter_bits,
     count_cliques,
     count_cliques_in_mask,
-    twin_class_masks,
+    twin_partition,
 )
 from .graph_io import to_graph6
 
@@ -110,7 +110,11 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
     if n <= 1:
         return ()
     masks = graph.adjacency_masks
-    twins = _twin_classes(masks)
+    twins = [0] * n  # twins[v]: the mask of v's twin class
+    for members in twin_partition(masks):
+        class_mask = sum(1 << v for v in members)
+        for v in members:
+            twins[v] = class_mask
     width = n * (n - 1) // 2
     best = -1
 
@@ -142,20 +146,6 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
         enc.append(best & ((1 << j) - 1))
         best >>= j
     return tuple(reversed(enc))
-
-
-def _twin_classes(masks: tuple[int, ...] | list[int]) -> list[int]:
-    """classes[v] = the mask of the twins of v (equal open or equal closed
-    neighborhoods), v included.  No vertex has both an open and a closed
-    twin (a closed twin x of v is adjacent to every open twin u of v, as
-    x is in N(v) = N(u), and then u is in N[x] = N[v]), so the classes
-    partition the vertices, and swapping two members of one class is an
-    automorphism."""
-    n = len(masks)
-    full = (1 << n) - 1
-    open_twins = twin_class_masks(masks, full, n)
-    closed = [m | 1 << v for v, m in enumerate(masks)]
-    return [a | b for a, b in zip(open_twins, twin_class_masks(closed, full, n))]
 
 
 def graph_from_encoding(enc: tuple[int, ...], n: int) -> Graph:
@@ -253,7 +243,7 @@ def _augmentations(base: tuple[int, ...], nbrs: range) -> Iterator[int]:
     """
     degrees = [m.bit_count() for m in base]
     floor = max(degrees, default=0)
-    classes = [c for c in set(_twin_classes(base)) if c & (c - 1)]
+    classes = [sum(1 << v for v in c) for c in twin_partition(base) if len(c) > 1]
     for nbr in nbrs:
         if (
             nbr.bit_count() >= floor

@@ -29,7 +29,7 @@ from .formulas import (
     tau,
     woodall_bound,
 )
-from .graphs import Graph, count_cliques
+from .graphs import Graph, count_cliques, count_cliques_in_mask
 from .graph_io import from_graph6, to_graph6
 from .matching import berge_tutte_certificate, max_matching
 from .oracle import brute_force_ex, canonical_graph6
@@ -65,6 +65,12 @@ def _check_odd() -> None:
         assert is_family_free(
             g, ForbiddenFamily(cycle_min_len=2 * k + 1, matching_bound=s, clique_order=r)
         )
+    # the twin-quotient count against the plain recursion, on a witness
+    # relabelled so that no class is a run of consecutive labels
+    g = build_extremal_odd(30, 3, 7, 3).relabeled([7 * v % 30 for v in range(30)])
+    full = (1 << g.n) - 1
+    for r in range(3, 8):
+        assert count_cliques(g, r) == count_cliques_in_mask(g.adjacency_masks, full, r)
 
 
 def _check_even() -> None:

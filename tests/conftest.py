@@ -105,3 +105,26 @@ def graphs_with_twin_class(draw, max_n: int = 8):
     edges += [(w, c) for c in range(b, b + t) for w in hood]
     perm = draw(st.permutations(range(b + t)))
     return Graph(b + t, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def graphs_with_planted_classes(draw, max_base: int = 5, max_classes: int = 3):
+    """A random base graph plus up to max_classes planted twin classes of
+    1 to 6 vertices each, open (independent) or closed (a clique), each
+    joined to all of a random set of base vertices and earlier classes;
+    labels shuffled."""
+    b = draw(st.integers(0, max_base))
+    pairs = [(u, v) for u in range(b) for v in range(u + 1, b)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    units = [[v] for v in range(b)]
+    n = b
+    for _ in range(draw(st.integers(1, max_classes))):
+        members = list(range(n, n + draw(st.integers(1, 6))))
+        if draw(st.booleans()):
+            edges += [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+        joined = [unit for unit in units if draw(st.booleans())]
+        edges += [(u, v) for unit in joined for u in unit for v in members]
+        units.append(members)
+        n += len(members)
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])

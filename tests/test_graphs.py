@@ -5,20 +5,46 @@ from hypothesis import strategies as st
 from genturan import (
     Graph,
     ParameterError,
+    build_extremal_odd,
     count_cliques,
     count_cliques_by_enumeration,
+    maximum_matching_edges,
     switch_vertex,
 )
-from genturan.graphs import reach, twin_kernel
+from genturan.graphs import (
+    _iter_bits,
+    count_cliques_in_mask,
+    reach,
+    twin_kernel,
+    twin_partition,
+)
 
 from conftest import (
     bowtie,
     cycle_graph,
     graphs,
+    graphs_with_planted_classes,
     graphs_with_twin_class,
     path_graph,
+    relabeled_witnesses,
     star_graph,
 )
+
+
+def _low_bit_walk(mask):
+    """The plain low-bit loop, as the reference for _iter_bits."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edges_by_low_bit_walk(g):
+    return [
+        (u, v + u + 1)
+        for u in range(g.n)
+        for v in _low_bit_walk(g.adjacency_mask(u) >> (u + 1))
+    ]
 
 
 class TestGraph:
@@ -62,6 +88,35 @@ class TestGraph:
         assert count_cliques(g, 3) == 0
 
 
+class TestIterBits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 2**64), st.integers(0, 2**3000)))
+    def test_matches_low_bit_walk(self, mask):
+        assert list(_iter_bits(mask)) == list(_low_bit_walk(mask))
+
+    def test_wide_masks(self):
+        for width in (301, 1024, 1025, 5000):
+            for mask in ((1 << width) - 1, 1 << (width - 1), 0b1011 << (width - 4)):
+                assert list(_iter_bits(mask)) == list(_low_bit_walk(mask))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=12))
+    def test_edges_in_the_same_order(self, g):
+        assert list(g.edges()) == _edges_by_low_bit_walk(g)
+
+    def test_edges_of_wide_graphs(self):
+        hub = star_graph(1500)
+        assert list(hub.edges()) == _edges_by_low_bit_walk(hub) == [
+            (0, v) for v in range(1, 1500)
+        ]
+        g = build_extremal_odd(400, 3, 10, 3)
+        assert list(g.edges()) == _edges_by_low_bit_walk(g)
+
+    def test_edges_of_a_large_witness(self):
+        g = build_extremal_odd(10**5, 3, 10, 3)
+        assert len(list(g.edges())) == g.num_edges
+
+
 class TestReach:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_n=12), st.data())
@@ -101,6 +156,22 @@ class TestTwinKernel:
         assert twin_kernel(g) == (g, tuple(range(6)))
 
 
+class TestTwinPartition:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graphs(max_n=9), graphs_with_planted_classes()))
+    def test_classes_of_the_twin_relation(self, g):
+        masks = g.adjacency_masks
+
+        def twins(u, v):
+            return masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
+
+        classes = twin_partition(masks)
+        assert sorted(v for members in classes for v in members) == list(range(g.n))
+        for members in classes:
+            assert members == sorted(members)
+            assert [u for u in range(g.n) if twins(members[0], u)] == members
+
+
 class TestCountCliques:
     def test_complete_graph_counts(self):
         k4 = Graph.complete(4)
@@ -130,6 +201,35 @@ class TestCountCliques:
             count_cliques_by_enumeration(g, r) for r in range(1, g.n + 1)
         )
         assert total == by_enum
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_planted_classes())
+    def test_planted_classes_against_the_plain_recursion(self, g):
+        full = (1 << g.n) - 1
+        for r in range(3, g.n + 2):
+            expected = count_cliques_in_mask(g.adjacency_masks, full, r)
+            assert count_cliques(g, r) == expected
+            if g.n <= 9:
+                assert expected == count_cliques_by_enumeration(g, r)
+
+    def test_relabeled_witnesses_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in relabeled_witnesses():
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(range(g.n))
+            sizes = [len(clique) for clique in nx.enumerate_all_cliques(h)]
+            for r in range(3, g.n + 2):
+                assert count_cliques(g, r) == sizes.count(r), (g, r)
+
+    def test_caches_leave_equality_and_hashing(self):
+        for g in relabeled_witnesses():
+            plain = Graph(g.n, g.edges())
+            count_cliques(g, 3)
+            twin_kernel(g)
+            maximum_matching_edges(g)
+            assert g == plain and plain == g
+            assert hash(g) == hash(plain)
+            assert plain in {g}
 
 
 class TestSwitchVertex:

@@ -90,6 +90,28 @@ class TestMaxMatching:
         assert len(edges) == max_matching_by_enumeration(g)
 
 
+class TestCachedMatching:
+    def test_each_call_returns_a_fresh_list(self):
+        g = build_H(12, 7, 3)
+        first = maximum_matching_edges(g)
+        expected = list(first)
+        first.pop()
+        first.append((0, 0))
+        assert maximum_matching_edges(g) == expected
+        assert maximum_matching_edges(g) is not maximum_matching_edges(g)
+
+    def test_cache_belongs_to_its_graph(self):
+        rng = random.Random(17)
+        corpus = [
+            random_graph(rng, rng.randrange(2, 11), rng.random()) for _ in range(60)
+        ]
+        for _ in range(2):  # the second round reads every graph's cache
+            for g in corpus:
+                edges = maximum_matching_edges(g)
+                assert _is_matching(g, edges)
+                assert max_matching(g) == len(edges) == max_matching_by_enumeration(g)
+
+
 class TestTwinKernel:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_twin_class())

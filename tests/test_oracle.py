@@ -27,12 +27,12 @@ from genturan import (
 )
 
 from genturan.cycles import circumference_by_enumeration
+from genturan.graphs import twin_partition
 from genturan.matching import max_matching_by_enumeration
 from genturan.oracle import (
     _deletion_key,
     _grow_classes,
     _keeps_new_vertex,
-    _twin_classes,
     _twin_representative,
     _worker_count,
     canonical_encoding,
@@ -246,7 +246,11 @@ class TestAugmentationFilters:
     @given(_parents_and_neighbourhoods())
     def test_twin_representative_is_isomorphic(self, case):
         parent, nbr = case
-        classes = [c for c in set(_twin_classes(parent.adjacency_masks)) if c & (c - 1)]
+        classes = [
+            sum(1 << v for v in c)
+            for c in twin_partition(parent.adjacency_masks)
+            if len(c) > 1
+        ]
         rep = _twin_representative(classes, nbr)
         assert rep.bit_count() == nbr.bit_count()
         assert _twin_representative(classes, rep) == rep
