@@ -35,7 +35,6 @@ from .errors import (
     GraphFormatError,
     OracleSizeError,
     ParameterError,
-    SizeLimitError,
 )
 from .family import ForbiddenFamily, is_family_free
 from .formulas import ex_even, ex_even_edges, ex_odd
@@ -198,23 +197,19 @@ def _cmd_verify(args) -> int:
             "cycle": list(report.cycle) if report.cycle else None,
             "matching": [list(e) for e in report.matching] if report.matching else None,
         }
-    # family-free implies nu <= s, so the certificate exists; it is only
-    # skipped when there is no bound to certify or the search refuses n
+    # family-free implies nu <= s, so a certificate exists at every n; it is
+    # skipped only with no bound to certify or a graph that is not family-free
     if args.s is None:
         payload["certificate_skipped"] = "no matching bound given (--s)"
     elif not report.is_free:
         payload["certificate_skipped"] = "the graph is not family-free"
     else:
-        try:
-            cert = berge_tutte_certificate(graph, args.s)
-        except SizeLimitError as exc:
-            payload["certificate_skipped"] = str(exc)
-        else:
-            payload["certificate"] = {
-                "vertex_set": list(cert.vertex_set),
-                "component_sizes": list(cert.component_sizes),
-                "slack": cert.slack,
-            }
+        cert = berge_tutte_certificate(graph, args.s)
+        payload["certificate"] = {
+            "vertex_set": list(cert.vertex_set),
+            "component_sizes": list(cert.component_sizes),
+            "slack": cert.slack,
+        }
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -134,7 +134,9 @@ def _longest_cycle_in_block(
                     return True
             return False
 
-        if rec(start):
+        found = rec(start)
+        del rec  # rec refers to itself through its closure: break the cycle
+        if found:
             return best_len, best_cycle
         alive ^= 1 << start
     return best_len, best_cycle

@@ -3,26 +3,25 @@
 The primary matching routine is an augmenting-path algorithm with blossom
 contraction (exact for general graphs).  A dynamic program over vertex
 subsets serves as an independent oracle for n <= 12, and a bounded
-branching search answers "is there a matching of size t" quickly on the
-small graphs the exhaustive oracle explores.
+branching search answers "is there a matching of size t among these
+vertices" on a vertex bitmask.
 
 A matching bound nu(G) <= s always has a short certificate: a vertex set
 X with |X| + sum_i floor(|C_i|/2) <= s over the components C_i of G - X.
-Such an X exists iff nu(G) <= s, and any valid X has |X| <= s, so the
-certificate search only scans subsets of size at most s.
+The alternating-tree code that augments matchings builds one: grown from
+every exposed vertex of a maximum matching, its outer vertices are the
+Gallai-Edmonds set D, and X = N(D) - D attains nu(G) exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ParameterError, SizeLimitError
 from .graphs import Graph, _iter_bits, reach, twin_kernel
 
 _ENUMERATION_LIMIT = 12
-_CERTIFICATE_LIMIT = 20
 
 
 def _greedy_matching(adj: tuple[int, ...], n: int) -> list[int]:
@@ -37,18 +36,21 @@ def _greedy_matching(adj: tuple[int, ...], n: int) -> list[int]:
     return match
 
 
-def _augment_from(adj_lists: list[list[int]], match: list[int], root: int, n: int) -> bool:
-    """Grow an alternating tree from `root`; augment and report success.
-
-    Standard blossom handling: `base` maps each vertex to the base of the
-    blossom currently containing it; odd cycles found during the BFS are
-    contracted by re-basing every vertex on the two tree paths.
+def _augment_from(
+    adj_lists: list[list[int]], match: list[int], roots: list[int], n: int
+) -> list[bool] | None:
+    """Grow an alternating forest from the exposed vertices `roots`: augment
+    along the first augmenting path and return None, or, if there is none,
+    return the outer marks.  `base` maps each vertex to the base of its
+    blossom; an odd cycle found by the BFS is contracted by re-basing every
+    vertex on its two tree paths.
     """
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
-    in_queue[root] = True
-    queue = deque([root])
+    for root in roots:
+        in_queue[root] = True
+    queue = deque(roots)
 
     def lowest_common_base(a: int, b: int) -> int:
         seen = [False] * n
@@ -77,8 +79,9 @@ def _augment_from(adj_lists: list[list[int]], match: list[int], root: int, n: in
         for to in adj_lists[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # v-to closes an odd cycle through the tree: contract it.
+            if in_queue[to]:
+                # v-to joins two outer vertices of one tree (of two trees
+                # would be an augmenting path): contract the odd cycle.
                 cur_base = lowest_common_base(v, to)
                 in_blossom = [False] * n
                 mark_path(v, cur_base, to, in_blossom)
@@ -98,10 +101,10 @@ def _augment_from(adj_lists: list[list[int]], match: list[int], root: int, n: in
                         match[to] = prev
                         match[prev] = to
                         to = nxt
-                    return True
+                    return None
                 in_queue[match[to]] = True
                 queue.append(match[to])
-    return False
+    return in_queue
 
 
 def _maximum_matching_array(graph: Graph) -> list[int]:
@@ -111,7 +114,7 @@ def _maximum_matching_array(graph: Graph) -> list[int]:
     adj_lists = [list(_iter_bits(adj[v])) for v in range(n)]
     for root in range(n):
         if match[root] == -1:
-            _augment_from(adj_lists, match, root, n)
+            _augment_from(adj_lists, match, [root], n)
     return match
 
 
@@ -247,39 +250,36 @@ def _validate_certificate(graph: Graph, cert: BergeTutteCertificate, s: int) -> 
 
 
 def berge_tutte_certificate(graph: Graph, s: int) -> BergeTutteCertificate | None:
-    """Smallest-first search for a set X certifying nu(G) <= s.
+    """The Gallai-Edmonds certificate of nu(G) <= s; None iff nu(G) > s.
 
-    Returns None iff nu(G) > s.  Subsets are scanned in increasing size
-    and lexicographic order, so the returned certificate is deterministic
-    and as small as possible.  Rejects n > 20 (subset search only).
+    Returns A = N(D) - D, D the outer vertices of one alternating forest
+    grown from every exposed vertex of the cached maximum matching (the
+    vertices some maximum matching misses).  |A| + sum floor(|K|/2) over
+    the components K of G - A is nu(G), so slack = s - nu(G).  A depends
+    on G alone: the certificate is unique, but not always the smallest.
     """
-    n = graph.n
-    if n > _CERTIFICATE_LIMIT:
-        raise SizeLimitError(
-            f"certificate search handles n <= {_CERTIFICATE_LIMIT}, got n={n}"
-        )
     if s < 0:
         raise ParameterError(f"s must be >= 0, got {s}")
-    if max_matching(graph) > s:
+    edges = maximum_matching_edges(graph)
+    if len(edges) > s:
         return None
-    for size in range(0, s + 1):
-        for subset in combinations(range(n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            comps = _components_of_complement(graph, mask)
-            sizes = tuple(c.bit_count() for c in comps)
-            value = size + sum(c // 2 for c in sizes)
-            if value <= s:
-                cert = BergeTutteCertificate(
-                    vertex_set=subset,
-                    component_sizes=sizes,
-                    bound=s,
-                    slack=s - value,
-                )
-                _validate_certificate(graph, cert, s)
-                return cert
-    raise AssertionError(
-        "no certificate found although nu(G) <= s; this contradicts the "
-        "matching-bound characterization"
+    n, adj = graph.n, graph.adjacency_masks
+    match = [-1] * n
+    for u, v in edges:
+        match[u], match[v] = v, u
+    adj_lists = [list(_iter_bits(a)) for a in adj]
+    outer = _augment_from(adj_lists, match, [v for v in range(n) if match[v] < 0], n)
+    if outer is None:
+        raise AssertionError("the cached matching is not maximum")
+    d_mask = a_mask = 0
+    for v in range(n):
+        if outer[v]:
+            d_mask |= 1 << v
+            a_mask |= adj[v]
+    a_mask &= ~d_mask
+    sizes = [c.bit_count() for c in _components_of_complement(graph, a_mask)]
+    cert = BergeTutteCertificate(
+        tuple(list(_iter_bits(a_mask))), tuple(sizes), s, s - len(edges)
     )
+    _validate_certificate(graph, cert, s)
+    return cert

@@ -113,6 +113,8 @@ def _check_certificate() -> None:
     cert = berge_tutte_certificate(build_H(12, 5, 2), 2)
     assert cert is not None and cert.vertex_set == (0, 1) and cert.slack == 0
     assert berge_tutte_certificate(Graph(4, [(0, 1), (2, 3)]), 1) is None
+    cert = berge_tutte_certificate(build_extremal_odd(70, 3, 10, 3), 10)
+    assert cert is not None and cert.slack == 1  # nu = 9
 
 
 def _check_oracle() -> None:

@@ -91,11 +91,12 @@ class TestConstructVerifyRoundTrip:
         assert data["certificate"] is not None
         assert data["certificate_skipped"] is None
 
-    def test_verify_certificate_skipped_above_size_limit(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_verify_certificate_at_any_order(self, capsys, tmp_path, n):
         path = tmp_path / "witness.g6"
         code, _, _ = _run(
             capsys,
-            ["construct", "--witness", "extremal-odd", "--n", "24", "--k", "2",
+            ["construct", "--witness", "extremal-odd", "--n", str(n), "--k", "2",
              "--s", "5", "--output", str(path)],
         )
         assert code == 0
@@ -105,9 +106,8 @@ class TestConstructVerifyRoundTrip:
         assert code == 0
         data = json.loads(out)
         assert data["family_free"] is True
-        assert data["certificate"] is None
-        assert "n <= 20" in data["certificate_skipped"]
-        assert "n=24" in data["certificate_skipped"]
+        assert data["certificate_skipped"] is None
+        assert data["certificate"]["slack"] == 5 - data["matching_number"]
 
     def test_construct_stdout_deterministic(self, capsys):
         argv = ["construct", "--witness", "g0", "--n", "7", "--k", "5"]
@@ -258,7 +258,6 @@ _GOLDEN_GRAPHS = {
     "st2-30": lambda: _relabelled(build_St2(30, 3, 2), 3),
 }
 
-_CERT_SKIPPED = "certificate search handles n <= 20, got n={}"
 _NOT_FREE = "the graph is not family-free"
 
 
@@ -302,7 +301,11 @@ _VERIFY_GOLDEN = [
     ),
     pytest.param(
         "odd-40", 7, 10,
-        _payload(40, 114, 7, 10, True, None, 9, skipped=_CERT_SKIPPED.format(40)),
+        _payload(40, 114, 7, 10, True, None, 9, certificate={
+            "vertex_set": [4, 26, 39],
+            "component_sizes": [1, 1, 5, 5] + [1] * 5 + [5] + [1] * 15,
+            "slack": 1,
+        }),
         id="odd-40-threshold",
     ),
     pytest.param(

@@ -1,3 +1,4 @@
+import gc
 import random
 from unittest import mock
 
@@ -75,6 +76,16 @@ class TestCircumference:
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):
             circumference(Graph.complete(10), budget=5)
+
+    def test_search_leaves_no_reference_cycles(self):
+        g = build_St2(30, 3, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            find_cycle_geq(g, circumference(g))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHasCycleGeq:

@@ -11,6 +11,7 @@ from genturan import (
     SizeLimitError,
     berge_tutte_certificate,
     build_H,
+    build_extremal_odd,
     enumerate_family_free,
     max_matching,
     max_matching_by_enumeration,
@@ -163,9 +164,22 @@ class TestBergeTutteCertificate:
         assert cert.isolated_count == 10
         assert cert.large_component_sizes == ()
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            berge_tutte_certificate(Graph(21), 3)
+    def test_no_size_limit(self):
+        g = Graph(21)
+        cert = berge_tutte_certificate(g, 3)
+        assert cert.vertex_set == () and cert.component_sizes == (1,) * 21
+        assert cert.slack == 3 - max_matching(g)
+        g = build_extremal_odd(24, 2, 5, 2)
+        cert = berge_tutte_certificate(g, 5)
+        assert cert.slack == 5 - max_matching(g)
+        assert sum(cert.component_sizes) + len(cert.vertex_set) == 24
+
+    def test_large_witness(self):
+        g = build_extremal_odd(5000, 3, 10, 3)
+        cert = berge_tutte_certificate(g, 10)
+        assert cert is not None and cert.bound == 10
+        assert cert.matching_upper_bound == max_matching(g) == 10 - cert.slack
+        assert sum(cert.component_sizes) + len(cert.vertex_set) == 5000
 
     def test_iff_on_all_classes_up_to_6(self):
         for n in range(1, 7):
@@ -192,3 +206,103 @@ class TestBergeTutteCertificate:
                 big = sum(cert.large_component_sizes)
                 assert len(cert.vertex_set) + big <= 3 * s
                 assert cert.isolated_count >= n - 3 * s
+
+
+def _neighbours(g: Graph) -> list[set[int]]:
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def _component_sizes(nbrs: list[set[int]], removed: set[int]) -> list[int]:
+    seen = set(removed)
+    sizes = []
+    for v in range(len(nbrs)):
+        if v not in seen:
+            seen.add(v)
+            stack, size = [v], 0
+            while stack:
+                x = stack.pop()
+                size += 1
+                for y in nbrs[x] - seen:
+                    seen.add(y)
+                    stack.append(y)
+            sizes.append(size)
+    return sizes
+
+
+def certificate_by_subset_scan(g: Graph) -> tuple[int, set[tuple[int, ...]]]:
+    """Reference: the least |X| + sum floor(|K|/2) over every vertex set X
+    (K running over the components of G - X), and the sets attaining it."""
+    nbrs = _neighbours(g)
+    best, attaining = g.n + 1, set()
+    for size in range(g.n + 1):
+        for subset in combinations(range(g.n), size):
+            value = size + sum(c // 2 for c in _component_sizes(nbrs, set(subset)))
+            if value < best:
+                best, attaining = value, set()
+            if value == best:
+                attaining.add(subset)
+    return best, attaining
+
+
+def _gallai_edmonds_by_enumeration(g: Graph) -> tuple[int, ...]:
+    """A = N(D) - D, D the vertices missed by some maximum matching, found
+    as the v with nu(G - v) = nu(G)."""
+    nu = max_matching_by_enumeration(g)
+    deficient = set()
+    for v in range(g.n):
+        rest = [u for u in range(g.n) if u != v]
+        index = {u: i for i, u in enumerate(rest)}
+        minus_v = Graph(
+            g.n - 1, [(index[a], index[b]) for a, b in g.edges() if v not in (a, b)]
+        )
+        if max_matching_by_enumeration(minus_v) == nu:
+            deficient.add(v)
+    nbrs = _neighbours(g)
+    return tuple(sorted(set().union(*(nbrs[v] for v in deficient)) - deficient))
+
+
+class TestGallaiEdmondsCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=12))
+    def test_vertex_set_is_gallai_edmonds_set(self, g):
+        nu = max_matching_by_enumeration(g)
+        cert = berge_tutte_certificate(g, nu)
+        assert cert.vertex_set == _gallai_edmonds_by_enumeration(g)
+        assert cert.slack == 0 and cert.matching_upper_bound == nu
+
+    @settings(max_examples=25, deadline=None)
+    @given(graphs(max_n=12))
+    def test_subset_scan_minimum_is_nu_and_attained(self, g):
+        nu = max_matching_by_enumeration(g)
+        best, attaining = certificate_by_subset_scan(g)
+        assert best == nu
+        cert = berge_tutte_certificate(g, nu)
+        assert cert.vertex_set in attaining
+        sizes = _component_sizes(_neighbours(g), set(cert.vertex_set))
+        assert sorted(sizes) == sorted(cert.component_sizes)
+
+    def test_random_graphs_up_to_12(self):
+        rng = random.Random(1965)
+        for _ in range(60):
+            g = random_graph(rng, rng.randrange(8, 13), rng.choice([0.15, 0.3, 0.5]))
+            nu = max_matching_by_enumeration(g)
+            cert = berge_tutte_certificate(g, nu)
+            assert cert.vertex_set == _gallai_edmonds_by_enumeration(g)
+            best, attaining = certificate_by_subset_scan(g)
+            assert best == nu and cert.vertex_set in attaining
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=12), st.randoms(use_true_random=False))
+    def test_relabelling_maps_the_certificate(self, g, rnd):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        nu = max_matching(g)
+        cert = berge_tutte_certificate(g, nu + 1)
+        image = berge_tutte_certificate(g.relabeled(perm), nu + 1)
+        assert image.vertex_set == tuple(sorted(perm[v] for v in cert.vertex_set))
+        assert sorted(image.component_sizes) == sorted(cert.component_sizes)
+        assert image.slack == cert.slack == 1

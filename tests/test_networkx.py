@@ -9,7 +9,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from genturan import Graph, block_decomposition, from_graph6, max_matching, to_graph6
+from genturan import (
+    Graph,
+    berge_tutte_certificate,
+    block_decomposition,
+    from_graph6,
+    max_matching,
+    to_graph6,
+)
 from genturan.blocks import _raw_blocks
 
 from conftest import connected_graphs, graphs, random_graph, relabeled_witnesses
@@ -69,6 +76,16 @@ class TestMaxMatching:
             assert max_matching(g) == expected, to_graph6(g)
             count += 1
         assert count > 60
+
+    def test_random_graphs_up_to_60(self):
+        rng = random.Random(1965)
+        for _ in range(150):
+            n = rng.randrange(2, 61)
+            g = random_graph(rng, n, rng.choice([1 / n, 2 / n, 4 / n, 0.3]))
+            expected = len(nx.max_weight_matching(_to_nx(g), maxcardinality=True))
+            assert max_matching(g) == expected, to_graph6(g)
+            cert = berge_tutte_certificate(g, expected)
+            assert cert.matching_upper_bound == expected, to_graph6(g)
 
 
 def _mask(vertices) -> int:
