@@ -3,8 +3,9 @@
 
 The closed forms are exact only once n is large enough.  At small n the
 exhaustive oracle is the authority: it maximizes the clique count over
-every family-free graph (n <= 8), grown one vertex at a time once per
-isomorphism class, and reports canonical extremal witnesses.  A region
+every family-free graph, grown one vertex at a time once per
+isomorphism class within a budget of one-vertex extensions, and reports
+canonical extremal witnesses.  A region
 probe's first agreement holds within the probed range only.
 
 The classic cautionary instance: forbid cycles of length >= 5 and

@@ -3,9 +3,9 @@ selfcheck.
 
 Structured results are JSON on stdout; tables are aligned text.  Exit
 codes: 0 success, 1 violated precondition or hypothesis (the message
-names it), 2 I/O or parse error, 3 oracle size limit.  The oracle size
-is additionally capped by the TURAN_ORACLE_MAX_N environment variable
-(default 7).
+names it), 2 I/O or parse error, 3 oracle budget exceeded (the query
+would try more one-vertex extensions than the oracle's budget, whatever
+--jobs is; the message names the budget).
 
 Note the two spellings of the cycle parameter: `compute` and `table`
 take the threshold parameter k of the formulas together with --parity
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import selfcheck as _selfcheck_mod
@@ -42,9 +41,6 @@ from .graphs import count_cliques
 from .graph_io import read_graph, write_graph
 from .matching import berge_tutte_certificate, max_matching
 from .oracle import brute_force_ex
-
-_ORACLE_ENV = "TURAN_ORACLE_MAX_N"
-_DEFAULT_ORACLE_CAP = 7
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,18 +211,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    raw_cap = os.environ.get(_ORACLE_ENV, str(_DEFAULT_ORACLE_CAP))
-    try:
-        cap = int(raw_cap)
-    except ValueError:
-        raise ParameterError(
-            f"{_ORACLE_ENV} must be an integer, got {raw_cap!r}"
-        ) from None
-    if args.n > cap:
-        raise OracleSizeError(
-            f"n={args.n} exceeds the oracle cap {cap} "
-            f"(raise {_ORACLE_ENV} to override)"
-        )
     family = ForbiddenFamily(
         cycle_min_len=args.k, matching_bound=args.s, clique_order=args.r
     )

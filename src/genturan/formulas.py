@@ -179,8 +179,6 @@ def even_case_params(k: int, s: int, r: int = 2) -> EvenCaseParams:
     if s < k - 1:
         raise ParameterError(f"need s >= k-1, got s={s}, k={k}")
     q, t = divmod(s, k - 1)
-    if t == 0 and q == 0:
-        raise ParameterError(f"need s >= k-1, got s={s}")
     epsilon = 1 if t >= 1 else 0
     return EvenCaseParams(k=k, r=r, s=s, q=q, t=t, epsilon=epsilon)
 

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParameterError, SizeLimitError
-from .graphs import Graph, _iter_bits, reach, twin_kernel
+from .graphs import Graph, _iter_bits, twin_kernel
 
 _ENUMERATION_LIMIT = 12
 
@@ -198,16 +198,24 @@ def has_matching_of_size(adj: tuple[int, ...] | list[int], active: int, t: int) 
     return rec(active, t)
 
 
-def _components_of_complement(graph: Graph, removed_mask: int) -> list[int]:
-    """Vertex bitmasks of the components of G - X, X given as a bitmask."""
-    adj = graph.adjacency_masks
-    remaining = ((1 << graph.n) - 1) & ~removed_mask
-    comps = []
-    while remaining:
-        comp = reach(adj, remaining, remaining & -remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+def _component_sizes(graph: Graph, removed: tuple[int, ...]) -> list[int]:
+    """Sizes of the components of G - X, X the vertices `removed`, in one
+    depth-first pass with a flag per vertex (linear in the graph)."""
+    adj, seen, sizes = graph.adjacency_masks, bytearray(graph.n), []
+    for v in removed:
+        seen[v] = 1
+    for root in range(graph.n):
+        if not seen[root]:
+            seen[root] = 1
+            stack, size = [root], 0
+            while stack:
+                size += 1
+                for w in _iter_bits(adj[stack.pop()]):
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
+            sizes.append(size)
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -236,11 +244,9 @@ class BergeTutteCertificate:
 
 
 def _validate_certificate(graph: Graph, cert: BergeTutteCertificate, s: int) -> None:
-    mask = 0
-    for v in cert.vertex_set:
-        mask |= 1 << v
-    comps = _components_of_complement(graph, mask)
-    sizes = tuple(sorted(c.bit_count() for c in comps))
+    if not all(0 <= v < graph.n for v in cert.vertex_set):
+        raise AssertionError("certificate vertex out of range")
+    sizes = tuple(sorted(_component_sizes(graph, cert.vertex_set)))
     if sizes != tuple(sorted(cert.component_sizes)):
         raise AssertionError("certificate component sizes do not match the graph")
     if sum(sizes) + len(cert.vertex_set) != graph.n:
@@ -276,10 +282,8 @@ def berge_tutte_certificate(graph: Graph, s: int) -> BergeTutteCertificate | Non
         if outer[v]:
             d_mask |= 1 << v
             a_mask |= adj[v]
-    a_mask &= ~d_mask
-    sizes = [c.bit_count() for c in _components_of_complement(graph, a_mask)]
-    cert = BergeTutteCertificate(
-        tuple(list(_iter_bits(a_mask))), tuple(sizes), s, s - len(edges)
-    )
+    vertex_set = tuple(list(_iter_bits(a_mask & ~d_mask)))
+    sizes = _component_sizes(graph, vertex_set)
+    cert = BergeTutteCertificate(vertex_set, tuple(sizes), s, s - len(edges))
     _validate_certificate(graph, cert, s)
     return cert

@@ -1,7 +1,7 @@
 """Exhaustive ground truth for small orders.
 
 One engine answers every question here: a vertex-growth enumeration of
-the family-free graphs on n <= 8 vertices, once per isomorphism class
+the family-free graphs on n vertices, once per isomorphism class
 (in the spirit of McKay, Isomorph-free exhaustive generation, J.
 Algorithms 1998).  Freeness is inherited by induced subgraphs, so every
 family-free graph on `size` vertices is a one-vertex extension of a
@@ -9,6 +9,9 @@ family-free class on size - 1 vertices; each level tries every
 neighbourhood of the new vertex over every class of the level below and
 keeps the canonical forms of the family-free extensions.
 enumerate_family_free returns the classes of the last level.
+
+A query may try _ORACLE_BUDGET one-vertex extensions (the examined unit),
+charged a level at a time before the level runs, whatever the parallelism.
 
 Two exact filters drop most extensions before their family check and
 their canonical form: the new vertex must have the largest key (degree,
@@ -53,7 +56,7 @@ from typing import Iterator
 
 from .errors import OracleSizeError, ParameterError
 from .family import ForbiddenFamily, is_family_free
-from .formulas import ex_even_edges, ex_odd
+from .formulas import ex_even, ex_even_edges, ex_odd
 from .graphs import (
     Graph,
     _iter_bits,
@@ -68,7 +71,7 @@ from .graph_io import to_graph6
 from .constructors import build_block_star, build_woodall_G0  # noqa: F401
 from .matching import has_matching_of_size  # noqa: F401
 
-_ORACLE_LIMIT = 8
+_ORACLE_BUDGET = 2_000_000  # one-vertex extensions per query
 _WITNESS_CAP = 100
 
 
@@ -104,7 +107,7 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
     sparse graphs without twins: minimum codes place an independent set
     first, and a long cycle has very many orderings of one (the cycle C_n
     takes 0.35 s at n = 14, 3.15 s at n = 16, over 40 s at n = 20).  The
-    oracle calls it only for n <= 8.
+    oracle calls it only on the classes its budget admits (_ORACLE_BUDGET).
     """
     n = graph.n
     if n <= 1:
@@ -181,20 +184,27 @@ def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
     subgraphs) with canonical-form deduplication at each level; only the
     extensions that pass the two exact filters of _augmentations are
     family-checked and canonicalised.  Yields canonical graphs in encoding
-    order.  Limited to n <= 8.
+    order.  Raises OracleSizeError before a level passes _ORACLE_BUDGET.
     """
-    _check_order(n, "family-free enumeration")
+    _charge(0, 1, n)
     yield from _grow_classes(n, family)[0]
 
 
-def _check_order(n: int, what: str) -> None:
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if n > _ORACLE_LIMIT:
+def _charge(tried: int, classes: int, size: int) -> int:
+    """tried plus the classes * 2^(size - 1) extensions that grow graphs on
+    size - 1 vertices to size; OracleSizeError if that passes _ORACLE_BUDGET
+    (at once past its bit length: classes >= 1, edgeless graphs are free)."""
+    if size < 1:
+        raise ParameterError(f"n must be >= 1, got {size}")
+    if size > _ORACLE_BUDGET.bit_length() or (
+        tried + (classes << (size - 1)) > _ORACLE_BUDGET
+    ):
         raise OracleSizeError(
-            f"{what} handles n <= {_ORACLE_LIMIT}, got n={n}; "
-            "use the formula modules beyond that"
+            f"the graphs on {size} vertices take at least {tried:,} + "
+            f"{classes:,}*2^{size - 1} one-vertex extensions, past the oracle "
+            f"budget of {_ORACLE_BUDGET:,}; use the formula modules beyond that"
         )
+    return tried + (classes << (size - 1))
 
 
 def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
@@ -204,10 +214,11 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
 
     Each level family-checks and canonicalises only the extensions that
     pass the two filters of _augmentations, which lose no class, and
-    deduplicates them by canonical form."""
+    deduplicates them by canonical form.  Each level is _charge'd first."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
+        tried = _charge(tried, len(level), size)
         seen: set[tuple[int, ...]] = set()
         for g in level:
             base = g.adjacency_masks
@@ -215,7 +226,6 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
                 h = _extend(base, nbr)
                 if is_family_free(h, family):
                     seen.add(canonical_encoding(h))
-        tried += len(level) << (size - 1)
         level = [graph_from_encoding(key, size) for key in sorted(seen)]
     return level, tried
 
@@ -347,10 +357,12 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
     vertices, with the sorted canonical graph6 strings of the maximising
     classes as witnesses (at most _WITNESS_CAP, the least ones).
 
-    n <= 8 only.  Results (including the examined counter) are identical
+    Raises OracleSizeError before the first level that would take
+    examined past _ORACLE_BUDGET, and before any work, K_n included, for
+    n >= 22.  Results (examined and the refusal included) are identical
     for any jobs value.
     """
-    _check_order(n, "brute_force_ex")
+    _charge(0, 1, n)
     start = time.perf_counter()
     r = family.clique_order
     complete = Graph.complete(n)
@@ -361,7 +373,7 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
         witnesses, examined = [to_graph6(complete)], 0
     else:
         parents, examined = _grow_classes(n - 1, family)
-        examined += len(parents) << (n - 1)
+        examined = _charge(examined, len(parents), n)
         # dense parents first, so the best count rises early and most
         # extensions are dropped before their family check
         parents.reverse()
@@ -450,6 +462,8 @@ class RegionReport:
     largest probed n still disagrees.  It is relative to the probed range
     only and implies nothing about larger n: for (C>=5, nu<=5, K_2) it is
     8 on range(4, 9), yet build_woodall_G0 beats ex_odd at n = 10 and 13.
+    The budget admits n = 10 for that family, where the oracle gives 18
+    and ex_odd 17.
     """
 
     k: int
@@ -495,8 +509,6 @@ def verify_formula_region(
     at r = 2).  Rows where the witness does not fit on n vertices carry
     formula None and count as disagreement.
     """
-    from .formulas import ex_even
-
     if parity not in ("odd", "even"):
         raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
     k_c = 2 * k + 1 if parity == "odd" else 2 * k

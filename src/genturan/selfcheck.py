@@ -118,8 +118,9 @@ def _check_certificate() -> None:
 
 
 def _check_oracle() -> None:
-    res = brute_force_ex(5, ForbiddenFamily(matching_bound=1))
-    assert res.max_count == 4 == ex_matching_only(5, 1)
+    for n, s in ((5, 1), (9, 2)):
+        res = brute_force_ex(n, ForbiddenFamily(matching_bound=s))
+        assert res.max_count == ex_matching_only(n, s)
     res = brute_force_ex(5, ForbiddenFamily(cycle_min_len=4))
     assert res.max_count == woodall_bound(5, 4) == 6
     assert canonical_graph6(build_woodall_G0(5, 4)) in res.witnesses

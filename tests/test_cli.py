@@ -196,22 +196,27 @@ class TestOracle:
         _, out2, _ = _run(capsys, argv)
         assert out1 == out2
 
-    def test_env_cap_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("TURAN_ORACLE_MAX_N", "5")
-        code, _, err = _run(capsys, ["oracle", "--n", "6", "--r", "2"])
-        assert code == 3
-        assert "TURAN_ORACLE_MAX_N" in err
+    def test_order_8_admitted(self, capsys):
+        # every query on 8 vertices fits the budget; this one is K_8
+        code, out, _ = _run(capsys, ["oracle", "--n", "8", "--r", "2"])
+        assert code == 0
+        assert json.loads(out)["max"] == 28
 
-    def test_env_cap_not_an_integer_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("TURAN_ORACLE_MAX_N", "abc")
-        code, _, err = _run(capsys, ["oracle", "--n", "5", "--r", "2"])
-        assert code == 1
-        assert "TURAN_ORACLE_MAX_N" in err and "'abc'" in err
+    def test_order_9_identical_across_jobs(self, capsys):
+        argv = ["oracle", "--n", "9", "--s", "2", "--stable"]
+        code1, out1, _ = _run(capsys, [*argv, "--jobs", "1"])
+        code2, out2, _ = _run(capsys, [*argv, "--jobs", "2"])
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert json.loads(out1)["max"] == 15
 
-    def test_default_cap_is_7(self, capsys, monkeypatch):
-        monkeypatch.delenv("TURAN_ORACLE_MAX_N", raising=False)
-        code, _, _ = _run(capsys, ["oracle", "--n", "8", "--r", "2"])
+    @pytest.mark.parametrize("n", ["22", "1000000", "10000000000000000000"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_past_budget_exit_3(self, capsys, n, jobs):
+        code, out, err = _run(capsys, ["oracle", "--n", n, "--jobs", jobs])
         assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "budget of 2,000,000" in err
 
 
 class TestTable:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,8 @@ from genturan import (
     max_matching_by_enumeration,
     maximum_matching_edges,
 )
-from genturan.matching import has_matching_of_size
+from genturan.matching import _component_sizes as _linear_component_sizes
+from genturan.matching import _validate_certificate, has_matching_of_size
 
 from conftest import cycle_graph, graphs, graphs_with_twin_class, random_graph, star_graph
 
@@ -294,6 +296,29 @@ class TestGallaiEdmondsCertificate:
             assert cert.vertex_set == _gallai_edmonds_by_enumeration(g)
             best, attaining = certificate_by_subset_scan(g)
             assert best == nu and cert.vertex_set in attaining
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=20), st.randoms(use_true_random=False))
+    def test_component_sizes_against_reference(self, g, rnd):
+        removed = tuple(sorted(rnd.sample(range(g.n), rnd.randrange(g.n + 1))))
+        assert sorted(_linear_component_sizes(g, removed)) == sorted(
+            _component_sizes(_neighbours(g), set(removed))
+        )
+
+    def test_validation_rejects_forged_certificates(self):
+        star = Graph(4, [(3, 0), (3, 1), (3, 2)])
+        cert = berge_tutte_certificate(star, 1)
+        assert cert.vertex_set == (3,) and cert.component_sizes == (1, 1, 1)
+        for forged in (
+            replace(cert, vertex_set=(-1,)),  # aliases vertex 3 in a bytearray
+            replace(cert, vertex_set=(4,)),
+            replace(cert, vertex_set=(3, 3)),
+            replace(cert, vertex_set=()),
+            replace(cert, component_sizes=(1, 1, 2)),
+            replace(cert, slack=1),
+        ):
+            with pytest.raises(AssertionError):
+                _validate_certificate(star, forged, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=12), st.randoms(use_true_random=False))

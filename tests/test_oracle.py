@@ -29,6 +29,7 @@ from genturan import (
 from genturan.cycles import circumference_by_enumeration
 from genturan.graphs import twin_partition
 from genturan.matching import max_matching_by_enumeration
+from genturan import oracle as oracle_module
 from genturan.oracle import (
     _deletion_key,
     _grow_classes,
@@ -170,8 +171,9 @@ class TestEnumerateFamilyFree:
             assert canonical_graph(g) == g
 
     def test_size_limit(self):
-        with pytest.raises(OracleSizeError):
-            list(enumerate_family_free(9, ForbiddenFamily(clique_order=2)))
+        # refused before any level grows: the last one alone tries 2^21
+        with pytest.raises(OracleSizeError, match="budget of 2,000,000"):
+            list(enumerate_family_free(22, ForbiddenFamily(clique_order=2)))
 
 
 def _unfiltered_levels(n: int, family: ForbiddenFamily) -> list[tuple[list[Graph], int]]:
@@ -286,8 +288,10 @@ class TestBruteForce:
     def test_matching_only_small_values(self):
         assert brute_force_ex(5, ForbiddenFamily(matching_bound=1)).max_count == 4
         assert brute_force_ex(6, ForbiddenFamily(matching_bound=2)).max_count == 10
-        res = brute_force_ex(7, ForbiddenFamily(matching_bound=2))
-        assert res.max_count == 11 == ex_matching_only(7, 2)
+        # past n = 8 too, within the budget (Erdos-Gallai 1959)
+        for n, best in ((7, 11), (9, 15), (10, 17)):
+            res = brute_force_ex(n, ForbiddenFamily(matching_bound=2))
+            assert res.max_count == best == ex_matching_only(n, 2)
 
     def test_all_graphs_regime(self):
         # with s = 3 every graph on 7 vertices qualifies, and K_7 is the
@@ -320,7 +324,7 @@ class TestBruteForce:
         assert res.max_count == 0
 
     def test_cycle_only_matches_woodall(self):
-        for (n, k) in [(6, 4), (7, 4), (7, 5)]:
+        for (n, k) in [(6, 4), (7, 4), (7, 5), (9, 4)]:
             res = brute_force_ex(n, ForbiddenFamily(cycle_min_len=k))
             assert res.max_count == woodall_bound(n, k)
             assert canonical_graph6(build_woodall_G0(n, k)) in res.witnesses
@@ -360,8 +364,48 @@ class TestBruteForce:
         assert _worker_count(100000, 64) == 1
 
     def test_size_limit(self):
-        with pytest.raises(OracleSizeError):
-            brute_force_ex(9, ForbiddenFamily(clique_order=2))
+        # K_n answers whatever the budget admits, with nothing examined, but
+        # n >= 22 is refused before K_n is built
+        for n in (9, 21):
+            res = brute_force_ex(n, ForbiddenFamily(clique_order=2))
+            assert res.max_count == n * (n - 1) // 2 and res.examined == 0
+            assert res.witnesses == (to_graph6(Graph.complete(n)),)
+        for n in (22, 10**6, 10**19):
+            with pytest.raises(OracleSizeError, match="budget of 2,000,000"):
+                brute_force_ex(n, ForbiddenFamily(clique_order=2))
+
+    def test_budget_refuses_a_level_before_it_runs(self, monkeypatch):
+        family = ForbiddenFamily(cycle_min_len=4, matching_bound=2)
+        parents, tried = _grow_classes(5, family)
+        last = tried + (len(parents) << 5)
+        assert last == brute_force_ex(6, family).examined == 715
+        checked = []
+        real = oracle_module.is_family_free
+        monkeypatch.setattr(
+            oracle_module, "is_family_free", lambda g, f: checked.append(g) or real(g, f)
+        )
+        monkeypatch.setattr(oracle_module, "_ORACLE_BUDGET", last - 1)
+        messages = set()
+        for grow in (
+            lambda: _grow_classes(6, family),
+            lambda: list(enumerate_family_free(7, family)),
+            lambda: brute_force_ex(6, family, jobs=1),
+            lambda: brute_force_ex(6, family, jobs=2),
+        ):
+            checked.clear()
+            with pytest.raises(OracleSizeError) as info:
+                grow()
+            messages.add(str(info.value))
+            # levels 1..5 ran, level 6 was refused before any extension (the
+            # K_6 test of brute_force_ex comes before the growth)
+            assert max(g.n for g in checked if g != Graph.complete(6)) == 5
+        assert messages == {
+            f"the graphs on 6 vertices take at least {tried:,} + "
+            f"{len(parents)}*2^5 one-vertex extensions, past the oracle budget "
+            f"of {last - 1:,}; use the formula modules beyond that"
+        }
+        monkeypatch.setattr(oracle_module, "_ORACLE_BUDGET", last)
+        assert brute_force_ex(6, family, jobs=2).examined == last
 
     def test_json_shape(self):
         res = brute_force_ex(5, ForbiddenFamily(matching_bound=1))
