@@ -10,7 +10,9 @@ would try more one-vertex extensions than the oracle's budget, whatever
 Note the two spellings of the cycle parameter: `compute` and `table`
 take the threshold parameter k of the formulas together with --parity
 (forbidding cycles of length >= 2k+1 or >= 2k), while `verify` and
-`oracle` take --k as the forbidden cycle length itself.
+`oracle` take --k as the forbidden cycle length itself.  The first two
+pick the formula by formulas.extremal_value; `table` prints n/a only for
+an n below the witness's order and otherwise fails as `compute` does.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from .errors import (
     GraphFormatError,
     OracleSizeError,
     ParameterError,
+    WitnessOrderError,
 )
 from .family import ForbiddenFamily, is_family_free
-from .formulas import ex_even, ex_even_edges, ex_odd
+from .formulas import extremal_value
 from .graphs import count_cliques
 from .graph_io import read_graph, write_graph
 from .matching import berge_tutte_certificate, max_matching
@@ -62,12 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--edges-only", action="store_true",
                    help="use the closed-form edge count (requires r=2)")
+    p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("construct", help="build a witness graph")
-    p.add_argument("--witness", required=True, choices=[
-        "H", "extremal-odd", "st1", "st2", "g0", "multipartite",
-        "block-star-spec-file",
-    ])
+    p.add_argument("--witness", required=True, choices=list(_WITNESSES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=int)
@@ -77,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-file")
     p.add_argument("--format", choices=["graph6", "edgelist"], default="graph6")
     p.add_argument("--output", help="write to file instead of stdout")
+    p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a graph against a family")
     p.add_argument("--graph", required=True, help="path to the graph file")
@@ -84,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="forbid cycles of length >= k")
     p.add_argument("--s", type=int, help="require matching number <= s")
     p.add_argument("--r", type=int, default=2, help="clique order to count")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive maximum at small n")
     p.add_argument("--n", type=int, required=True)
@@ -93,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--stable", action="store_true",
                    help="omit volatile metadata (elapsed time) from output")
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("table", help="formula values over a range of n")
     p.add_argument("--parity", choices=["odd", "even"], required=True)
@@ -102,23 +106,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--edges-only", action="store_true")
+    p.set_defaults(handler=_cmd_table)
 
-    sub.add_parser("selfcheck", help="run the embedded invariant suite")
+    p = sub.add_parser("selfcheck", help="run the embedded invariant suite")
+    p.set_defaults(handler=lambda args: _selfcheck_mod.run_selfcheck())
     return parser
 
 
-def _compute_value(parity: str, n: int, k: int, s: int, r: int, edges_only: bool):
-    if edges_only and r != 2:
-        raise ParameterError(f"--edges-only requires r=2, got r={r}")
-    if parity == "odd":
-        return ex_odd(n, k, s, r)
-    if edges_only or (k == 2 and r == 2):
-        return ex_even_edges(n, k, s)
-    return ex_even(n, k, s, r)
-
-
 def _cmd_compute(args) -> int:
-    value = _compute_value(args.parity, args.n, args.k, args.s, args.r,
+    value = extremal_value(args.parity, args.n, args.k, args.s, args.r,
                            args.edges_only)
     payload = value.to_json()
     payload["params"] = {
@@ -129,37 +125,33 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    def need(*names):
-        for name in names:
-            if getattr(args, name) is None:
-                raise ParameterError(
-                    f"witness {args.witness!r} requires --{name.replace('_', '-')}"
-                )
+def _spec_file_graph(args):
+    with open(args.spec_file, "r", encoding="ascii") as fh:
+        return build_block_star(parse_block_star_spec(fh.read()))
 
-    if args.witness == "H":
-        need("n", "k", "a")
-        graph = build_H(args.n, args.k, args.a)
-    elif args.witness == "extremal-odd":
-        need("n", "k", "s")
-        graph = build_extremal_odd(args.n, args.k, args.s, args.r)
-    elif args.witness == "st1":
-        need("n", "k", "q")
-        graph = build_St1(args.n, args.k, args.q)
-    elif args.witness == "st2":
-        need("n", "k", "q")
-        graph = build_St2(args.n, args.k, args.q)
-    elif args.witness == "g0":
-        need("n", "k")
-        graph = build_woodall_G0(args.n, args.k)
-    elif args.witness == "multipartite":
-        need("n", "k", "s")
-        graph = build_multipartite_G(args.n, args.k, args.s)
-    else:
-        need("spec_file")
-        with open(args.spec_file, "r", encoding="ascii") as fh:
-            spec = parse_block_star_spec(fh.read())
-        graph = build_block_star(spec)
+
+# --witness choice -> (required options, builder from the parsed arguments)
+_WITNESSES = {
+    "H": (("n", "k", "a"), lambda a: build_H(a.n, a.k, a.a)),
+    "extremal-odd": (("n", "k", "s"),
+                     lambda a: build_extremal_odd(a.n, a.k, a.s, a.r)),
+    "st1": (("n", "k", "q"), lambda a: build_St1(a.n, a.k, a.q)),
+    "st2": (("n", "k", "q"), lambda a: build_St2(a.n, a.k, a.q)),
+    "g0": (("n", "k"), lambda a: build_woodall_G0(a.n, a.k)),
+    "multipartite": (("n", "k", "s"),
+                     lambda a: build_multipartite_G(a.n, a.k, a.s)),
+    "block-star-spec-file": (("spec_file",), _spec_file_graph),
+}
+
+
+def _cmd_construct(args) -> int:
+    required, build = _WITNESSES[args.witness]
+    for name in required:
+        if getattr(args, name) is None:
+            raise ParameterError(
+                f"witness {args.witness!r} requires --{name.replace('_', '-')}"
+            )
+    graph = build(args)
     text = write_graph(graph, args.format)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -225,11 +217,11 @@ def _cmd_table(args) -> int:
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         try:
-            value = _compute_value(args.parity, n, args.k, args.s, args.r,
+            value = extremal_value(args.parity, n, args.k, args.s, args.r,
                                    args.edges_only)
             rows.append((n, str(value.value), value.regime,
                          "yes" if value.asymptotic_warning else "no"))
-        except ParameterError:
+        except WitnessOrderError:
             rows.append((n, "n/a", "-", "-"))
     headers = ("n", "value", "case", "below-threshold")
     table = [headers] + [tuple(str(c) for c in row) for row in rows]
@@ -246,19 +238,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "selfcheck":
-            return _selfcheck_mod.run_selfcheck()
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args)
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphFormatError, ParameterError
-from .formulas import ex_odd
+from .errors import GraphFormatError, ParameterError, WitnessOrderError
+from .formulas import check_h_params, ex_odd
 from .graphs import Graph
 
 
@@ -31,14 +31,7 @@ class HGraphParams:
     a: int
 
     def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ParameterError(f"a must be >= 1, got a={self.a}")
-        if 2 * self.a > self.k:
-            raise ParameterError(f"need 2a <= k, got a={self.a}, k={self.k}")
-        if self.n < self.k - self.a:
-            raise ParameterError(
-                f"need n >= k-a, got n={self.n}, k-a={self.k - self.a}"
-            )
+        check_h_params(self.n, self.k, self.a)
 
     def to_json(self) -> dict:
         return {"type": "H", "n": self.n, "k": self.k, "a": self.a}
@@ -58,12 +51,11 @@ class BlockStarSpec:
     attached: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if isinstance(self.central, int) and self.central < 1:
-            raise ParameterError(f"central clique order must be >= 1")
+        if isinstance(self.central, int):
+            _clique_order(self.central, 1, "central clique order")
         att = tuple(sorted(self.attached, reverse=True))
         for c in att:
-            if c < 2:
-                raise ParameterError(f"attached clique orders must be >= 2, got {c}")
+            _clique_order(c, 2, "attached clique orders")
         object.__setattr__(self, "attached", att)
 
     @property
@@ -83,17 +75,23 @@ class BlockStarSpec:
         return {"central": central, "attached": list(self.attached), "hub": 0}
 
 
+def _clique_order(c: int, least: int, what: str) -> int:
+    if c < least:
+        raise ParameterError(f"{what} must be >= {least}, got {c}")
+    return c
+
+
 def central_block_order(
     n: int, central_k: int, attached: tuple[int, ...], label: str
 ) -> int:
     """Order n - sum(c-1) left to the central block of an n-vertex block
-    star with the given attached clique orders.  Raises ParameterError
+    star with the given attached clique orders.  Raises WitnessOrderError
     naming the witness order central_k + sum(c-1) for `label` when that is
     below central_k, the least central order that reaches its designed
     matching number."""
     glued = sum(c - 1 for c in attached)
     if n - glued < central_k:
-        raise ParameterError(
+        raise WitnessOrderError(
             f"n={n} is below the witness order {central_k + glued} for {label}"
         )
     return n - glued
@@ -149,28 +147,27 @@ def build_extremal_odd(n: int, k: int, s: int, r: int) -> Graph:
     return build_block_star(ex_odd(n, k, s, r).witness)
 
 
+def _st_spec(central_n: int, k: int, q: int, central_k: int) -> BlockStarSpec:
+    """Block star with central H_{central_n, central_k, k-1} and q-1
+    attached cliques of order 2k-1: St1 at central_k = 2k-1, St2 at 2k."""
+    if q < 1:
+        raise ParameterError(f"q must be >= 1, got {q}")
+    return BlockStarSpec(
+        central=HGraphParams(n=central_n, k=central_k, a=k - 1),
+        attached=(2 * k - 1,) * (q - 1),
+    )
+
+
 def st1_spec(n: int, k: int, q: int) -> BlockStarSpec:
     """Block star with central H_{n-(q-1)(2k-2), 2k-1, k-1} and q-1
     attached cliques of order 2k-1."""
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    central_n = n - (q - 1) * (2 * k - 2)
-    return BlockStarSpec(
-        central=HGraphParams(n=central_n, k=2 * k - 1, a=k - 1),
-        attached=(2 * k - 1,) * (q - 1),
-    )
+    return _st_spec(n - (q - 1) * (2 * k - 2), k, q, 2 * k - 1)
 
 
 def st2_spec(n: int, k: int, q: int) -> BlockStarSpec:
     """Block star with central H_{n-(q-1)(2k-2), 2k, k-1} and q-1
     attached cliques of order 2k-1."""
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    central_n = n - (q - 1) * (2 * k - 2)
-    return BlockStarSpec(
-        central=HGraphParams(n=central_n, k=2 * k, a=k - 1),
-        attached=(2 * k - 1,) * (q - 1),
-    )
+    return _st_spec(n - (q - 1) * (2 * k - 2), k, q, 2 * k)
 
 
 def build_St1(n: int, k: int, q: int) -> Graph:
@@ -227,30 +224,23 @@ def format_block_star_spec(spec: BlockStarSpec) -> str:
 
 
 def parse_block_star_spec(text: str) -> BlockStarSpec:
-    """Inverse of format_block_star_spec; blank lines are ignored."""
+    """Inverse of format_block_star_spec; blank lines are ignored.  Every
+    fault, of form or of value, raises GraphFormatError naming its line."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise GraphFormatError("empty block-star spec")
-    head = lines[0].split()
-    central: HGraphParams | int
-    if head[0] == "H" and len(head) == 4:
-        try:
-            central = HGraphParams(n=int(head[1]), k=int(head[2]), a=int(head[3]))
-        except ValueError as exc:
-            raise GraphFormatError(f"bad central block line {lines[0]!r}: {exc}")
-    elif head[0] == "K" and len(head) == 2:
-        try:
-            central = int(head[1])
-        except ValueError:
-            raise GraphFormatError(f"bad central block line {lines[0]!r}")
-    else:
-        raise GraphFormatError(
-            f"first line must be 'H n k a' or 'K c', got {lines[0]!r}"
-        )
-    attached = []
-    for line in lines[1:]:
-        try:
-            attached.append(int(line))
-        except ValueError:
-            raise GraphFormatError(f"bad attached clique order {line!r}")
+    line, head = lines[0], lines[0].split()
+    if (head[0], len(head)) not in (("H", 4), ("K", 2)):
+        raise GraphFormatError(f"first line must be 'H n k a' or 'K c', got {line!r}")
+    what = "central block line"
+    try:
+        if head[0] == "H":
+            central = HGraphParams(*map(int, head[1:]))
+        else:
+            central = _clique_order(int(head[1]), 1, "central clique order")
+        what, attached = "attached clique order", []
+        for line in lines[1:]:
+            attached.append(_clique_order(int(line), 2, "attached clique orders"))
+    except ValueError as exc:
+        raise GraphFormatError(f"bad {what} {line!r}: {exc}") from None
     return BlockStarSpec(central=central, attached=tuple(attached))

@@ -13,6 +13,10 @@ class DisconnectedGraphError(ParameterError):
     """An operation that requires a connected graph received one that is not."""
 
 
+class WitnessOrderError(ParameterError):
+    """n is below the order of the witness that a formula's value needs."""
+
+
 class SizeLimitError(ParameterError):
     """Input exceeds the size an exact subroutine is willing to handle."""
 

@@ -27,6 +27,11 @@ block profiles, which specializes at r = 2 to
 
 with q = floor(s/(k-1)) and t = s - q(k-1).
 
+extremal_value is the one dispatch from (parity, k, r, edges-only) to
+these formulas, for the command line and the oracle's region probe.  A
+formula refuses an n only below its witness's order (WitnessOrderError,
+from constructors.central_block_order); other refusals ignore n.
+
 Every value returned here is the exact extremal count only once n is
 large enough; asymptotic_warning marks results below the documented
 safety threshold (n < 6s), where the exhaustive oracle is the authority.
@@ -50,15 +55,20 @@ _ASYMPTOTIC_SAFETY_FACTOR = 6
 def f_value(n: int, k: int, a: int, b: int) -> int:
     """C(k-a, b) + (n-k+a)*C(a, b-1): the K_b count of the graph K_{k-a}
     plus n-(k-a) vertices each joined to the same a clique vertices."""
+    check_h_params(n, k, a)
+    if b < 1:
+        raise ParameterError(f"b must be >= 1, got b={b}")
+    return comb(k - a, b) + (n - k + a) * comb(a, b - 1)
+
+
+def check_h_params(n: int, k: int, a: int) -> None:
+    """The domain of H(n, k, a), shared with constructors.HGraphParams."""
     if a < 1:
         raise ParameterError(f"a must be >= 1, got a={a}")
     if 2 * a > k:
         raise ParameterError(f"need 2a <= k, got a={a}, k={k}")
     if n < k - a:
         raise ParameterError(f"need n >= k-a, got n={n}, k-a={k - a}")
-    if b < 1:
-        raise ParameterError(f"b must be >= 1, got b={b}")
-    return comb(k - a, b) + (n - k + a) * comb(a, b - 1)
 
 
 def tau(k: int, r: int) -> int:
@@ -119,24 +129,26 @@ def odd_case_params(k: int, r: int, s: int) -> OddCaseParams:
     return OddCaseParams(k=k, r=r, s=s, q=q, t=t, A=a_total, tau_kr=t_kr, case=case)
 
 
+def _odd_blocks(k: int, r: int, s: int) -> tuple[OddCaseParams, tuple[int, ...], int]:
+    """The case at (k, r, s), the attached clique orders of its witness
+    (none in Case1, q of order 2k in Case2, and one more of order 2t+2 in
+    Case3) and the offset h they give: C(k+1, r) - (k+1)*C(k, r-1) plus
+    C(c, r) - (c-1)*C(k, r-1) for each attached order c."""
+    p = odd_case_params(k, r, s)
+    blocks = [] if p.case == "Case1" else [(2 * k, p.q)]
+    if p.case == "Case3":
+        blocks.append((2 * p.t + 2, 1))
+    base = comb(k, r - 1)
+    h = comb(k + 1, r) - (k + 1) * base + sum(
+        count * (comb(c, r) - (c - 1) * base) for c, count in blocks
+    )
+    return p, tuple(c for c, count in blocks for _ in range(count)), h
+
+
 def h_value(r: int, k: int, s: int) -> int:
     """The n-free offset of the odd-threshold extremal count (may be
     negative: it offsets the linear term C(k, r-1)*n)."""
-    p = odd_case_params(k, r, s)
-    if p.case == "Case1":
-        return comb(k + 1, r) - (k + 1) * comb(k, r - 1)
-    if p.case == "Case2":
-        return (
-            p.q * comb(2 * k, r)
-            + comb(k + 1, r)
-            - (k + 1 + p.q * (2 * k - 1)) * comb(k, r - 1)
-        )
-    return (
-        p.q * comb(2 * k, r)
-        + comb(2 * p.t + 2, r)
-        + comb(k + 1, r)
-        - p.A * comb(k, r - 1)
-    )
+    return _odd_blocks(k, r, s)[2]
 
 
 def g_value(x: int, y: int, z: int, k: int, r: int) -> int:
@@ -166,21 +178,20 @@ class EvenCaseParams:
     q = floor(s/(k-1)), t = s - q(k-1), eps = 1 iff t >= 1."""
 
     k: int
-    r: int
     s: int
     q: int
     t: int
     epsilon: int
 
 
-def even_case_params(k: int, s: int, r: int = 2) -> EvenCaseParams:
+def even_case_params(k: int, s: int) -> EvenCaseParams:
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if s < k - 1:
         raise ParameterError(f"need s >= k-1, got s={s}, k={k}")
     q, t = divmod(s, k - 1)
     epsilon = 1 if t >= 1 else 0
-    return EvenCaseParams(k=k, r=r, s=s, q=q, t=t, epsilon=epsilon)
+    return EvenCaseParams(k=k, s=s, q=q, t=t, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -221,21 +232,12 @@ def ex_odd(n: int, k: int, s: int, r: int) -> ExtremalValue:
     """
     from .constructors import BlockStarSpec, HGraphParams, central_block_order
 
-    p = odd_case_params(k, r, s)
-    if p.case == "Case1":
-        attached: tuple[int, ...] = ()
-    elif p.case == "Case2":
-        attached = (2 * k,) * p.q
-    else:
-        attached = tuple(sorted((2 * k,) * p.q + (2 * p.t + 2,), reverse=True))
+    p, attached, h = _odd_blocks(k, r, s)
     central_n = central_block_order(n, 2 * k + 1, attached, p.case)
     spec = BlockStarSpec(
         central=HGraphParams(n=central_n, k=2 * k + 1, a=k), attached=attached
     )
-    value = comb(k, r - 1) * n + h_value(r, k, s)
-    return ExtremalValue(
-        value=value, regime=p.case, witness=spec, asymptotic_warning=_warn(n, s)
-    )
+    return ExtremalValue(comb(k, r - 1) * n + h, p.case, spec, _warn(n, s))
 
 
 def ex_even(n: int, k: int, s: int, r: int) -> ExtremalValue:
@@ -257,12 +259,7 @@ def ex_even(n: int, k: int, s: int, r: int) -> ExtremalValue:
     if s < k - 1:
         raise ParameterError(f"need s >= k-1, got s={s}, k={k}")
     offset, family, spec = solve_even(n, k, r, s)
-    return ExtremalValue(
-        value=comb(k - 1, r - 1) * n + offset,
-        regime=family,
-        witness=spec,
-        asymptotic_warning=_warn(n, s),
-    )
+    return ExtremalValue(comb(k - 1, r - 1) * n + offset, family, spec, _warn(n, s))
 
 
 def ex_even_edges(n: int, k: int, s: int) -> ExtremalValue:
@@ -271,21 +268,34 @@ def ex_even_edges(n: int, k: int, s: int) -> ExtremalValue:
     (k-1)n - C(k, 2) + (k-1)(q-1) + eps, with witness St1(n, 2k, q) when
     eps = 0 and St2(n, 2k, q) when eps = 1.
     """
-    from .constructors import central_block_order, st1_spec, st2_spec
+    from .constructors import _st_spec, central_block_order
 
     p = even_case_params(k, s)
     value = (k - 1) * n - comb(k, 2) + (k - 1) * (p.q - 1) + p.epsilon
-    central_k = 2 * k - 1 if p.epsilon == 0 else 2 * k
-    central_block_order(n, central_k, (2 * k - 1,) * (p.q - 1), f"k={k}, s={s}")
-    if p.epsilon == 0:
-        spec = st1_spec(n, k, p.q)
-        regime = "St1"
-    else:
-        spec = st2_spec(n, k, p.q)
-        regime = "St2"
-    return ExtremalValue(
-        value=value, regime=regime, witness=spec, asymptotic_warning=_warn(n, s)
-    )
+    central_k = 2 * k - 1 + p.epsilon
+    attached = (2 * k - 1,) * (p.q - 1)
+    central_n = central_block_order(n, central_k, attached, f"k={k}, s={s}")
+    spec = _st_spec(central_n, k, p.q, central_k)
+    return ExtremalValue(value, "St2" if p.epsilon else "St1", spec, _warn(n, s))
+
+
+def extremal_value(
+    parity: str, n: int, k: int, s: int, r: int, edges_only: bool = False
+) -> ExtremalValue:
+    """The extremal K_r count on n vertices with nu <= s and no cycle of
+    length >= 2k+1 (parity "odd") or >= 2k ("even"): ex_odd at odd
+    parity; at even parity ex_even_edges if edges_only (which needs r = 2)
+    or k = r = 2, else ex_even.  At r = 2, k >= 3 the even formulas agree
+    but for the regime label (T1/T2 against St2/St1)."""
+    if edges_only and r != 2:
+        raise ParameterError(f"--edges-only requires r=2, got r={r}")
+    if parity == "odd":
+        return ex_odd(n, k, s, r)
+    if parity != "even":
+        raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+    if edges_only or (k == 2 and r == 2):
+        return ex_even_edges(n, k, s)
+    return ex_even(n, k, s, r)
 
 
 def ex_matching_only(n: int, s: int) -> int:

@@ -5,15 +5,20 @@ upper-triangle adjacency bits in column order ((0,1), (0,2), (1,2),
 (0,3), ...), packed big-endian into 6-bit groups offset by 63.  The
 optional ">>graph6<<" header is accepted on input and never written.
 
+The upper-triangle bits, read as one integer with the pair (0,1) in the
+top bit, are the body of the graph: graph6_string packs an order and a
+body, graph6_masks unpacks a body into adjacency masks.  The oracle's
+canonical encoding is such a body, so it is written and read here too.
+
 Both directions work on whole masks, not bit by bit.  The encoder writes
 column v (u = 0..v-1) as one binary string of adj[v]'s low v bits, joins
-the columns, and turns the result into bytes with one int(bits, 2).  A
-byte string of 24k bits is 4k 6-bit groups, and base64 writes exactly
+the columns, and turns the result into the body with one int(bits, 2).
+A byte string of 24k bits is 4k 6-bit groups, and base64 writes exactly
 those groups, so binascii does the packing and a translation table moves
 its alphabet onto chr(63)..chr(126).  The decoder inverts this: base64
-back to bytes, one binary string, each column's low mask by one
-int(), and the upper bits set while walking the column's ones.  Bits
-past the last pair (padding) are ignored.
+back to the body (bits past the last pair are padding and dropped), one
+binary string, each column's low mask by one int(), and the upper bits
+set while walking the column's ones.
 
 The edge-list format is one "u v" pair per line, 0-indexed, blank lines
 ignored.  It carries no vertex count, so trailing isolated vertices do
@@ -49,16 +54,39 @@ def _encode_order(n: int) -> list[int]:
 
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as a graph6 string (no header, no newline)."""
-    n = graph.n
-    adj = graph.adjacency_masks
+    n, adj = graph.n, graph.adjacency_masks
     # column v lists u = 0..v-1, lowest bit first
     bits = "".join(format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
-    groups = (len(bits) + 5) // 6
-    bits += "0" * (-len(bits) % 24)
-    body = binascii.b2a_base64(
-        int(bits or "0", 2).to_bytes(len(bits) // 8, "big"), newline=False
-    ).translate(_FROM_BASE64)
-    return bytes(_encode_order(n)).decode("ascii") + body[:groups].decode("ascii")
+    return graph6_string(n, int(bits or "0", 2))
+
+
+def graph6_string(n: int, body: int) -> str:
+    """The graph6 string of the graph on n vertices whose body, its
+    n(n-1)/2 upper-triangle bits in graph6 order read from the top bit,
+    is the integer body."""
+    width = n * (n - 1) // 2
+    pad = -width % 24
+    text = binascii.b2a_base64(
+        (body << pad).to_bytes((width + pad) // 8, "big"), newline=False
+    ).translate(_FROM_BASE64)[:(width + 5) // 6]
+    return bytes(_encode_order(n)).decode("ascii") + text.decode("ascii")
+
+
+def graph6_masks(n: int, body: int) -> list[int]:
+    """The adjacency masks of the graph on n vertices with graph6 body
+    body (see graph6_string)."""
+    bits = format(body, f"0{n * (n - 1) // 2}b")
+    adj = [0] * n
+    p = 0
+    for v in range(1, n):
+        adj[v] = int(bits[p:p + v][::-1], 2)
+        bit = 1 << v
+        u = bits.find("1", p, p + v)
+        while u >= 0:
+            adj[u - p] |= bit
+            u = bits.find("1", u + 1, p + v)
+        p += v
+    return adj
 
 
 def from_graph6(text: str) -> Graph:
@@ -92,20 +120,10 @@ def from_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(body)} groups, expected {need} for n={n}"
         )
-    body = body.translate(_TO_BASE64) + b"A" * (-len(body) % 4)
-    data = binascii.a2b_base64(body)
-    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-    adj = [0] * n
-    p = 0
-    for v in range(1, n):
-        adj[v] = int(bits[p:p + v][::-1], 2)
-        bit = 1 << v
-        u = bits.find("1", p, p + v)
-        while u >= 0:
-            adj[u - p] |= bit
-            u = bits.find("1", u + 1, p + v)
-        p += v
-    return Graph._trusted(adj)
+    data = binascii.a2b_base64(body.translate(_TO_BASE64) + b"A" * (-len(body) % 4))
+    # bits past the last pair are padding
+    bits = int.from_bytes(data, "big") >> (8 * len(data) - n * (n - 1) // 2)
+    return Graph._trusted(graph6_masks(n, bits))
 
 
 def to_edgelist(graph: Graph) -> str:

@@ -17,14 +17,17 @@ those inputs are rejected; the even edge formula covers k = 2 directly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .constructors import BlockStarSpec, HGraphParams, central_block_order
 from .errors import ParameterError
 from .formulas import g_value
 
-_FAMILIES = ("T1", "T2")
+# family -> shrink: its central block is H_{m, 2k - shrink, k-1}, which
+# covers k - shrink matching edges, and its offset is discounted by
+# shrink * C(k-1, r-2)
+_FAMILIES = {"T1": 0, "T2": 1}
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,6 @@ class FeasibleTriple:
     z: int
     family: str
     g: int | None = None
-
-
-def _central_cost(family: str, k: int) -> int:
-    if family == "T1":
-        return k
-    if family == "T2":
-        return k - 1
-    raise ParameterError(f"family must be one of {_FAMILIES}, got {family!r}")
 
 
 def _check_params(k: int, s: int) -> None:
@@ -65,7 +60,11 @@ def enumerate_feasible(k: int, s: int, family: str) -> list[FeasibleTriple]:
     and 1 <= z <= 2k-1 where budget = s - central cost.
     """
     _check_params(k, s)
-    budget = s - _central_cost(family, k)
+    if family not in _FAMILIES:
+        raise ParameterError(
+            f"family must be one of {tuple(_FAMILIES)}, got {family!r}"
+        )
+    budget = s - (k - _FAMILIES[family])
     out: list[FeasibleTriple] = []
     if budget < 0:
         return out
@@ -82,7 +81,8 @@ def enumerate_feasible(k: int, s: int, family: str) -> list[FeasibleTriple]:
 def maximize_g(k: int, r: int, s: int, family: str) -> tuple[int, FeasibleTriple]:
     """Exact maximum of the block-profile offset over the family.
 
-    Ties break to the lexicographically smallest (x, y, z).  An empty
+    Ties break to the lexicographically smallest (x, y, z): max keeps the
+    first maximum, and enumerate_feasible lists in that order.  An empty
     feasible set (family T1 with s = k-1) is rejected.
     """
     if r < 2:
@@ -92,15 +92,10 @@ def maximize_g(k: int, r: int, s: int, family: str) -> tuple[int, FeasibleTriple
         raise ParameterError(
             f"feasible set {family} is empty for k={k}, s={s}"
         )
-    best: FeasibleTriple | None = None
-    best_value = 0
-    for t in triples:
-        value = g_value(t.x, t.y, t.z, k, r)
-        if best is None or value > best_value:
-            best = FeasibleTriple(t.x, t.y, t.z, t.family, g=value)
-            best_value = value
-    assert best is not None
-    return best_value, best
+    value, best = max(
+        ((g_value(t.x, t.y, t.z, k, r), t) for t in triples), key=lambda c: c[0]
+    )
+    return value, replace(best, g=value)
 
 
 def solve_even(n: int, k: int, r: int, s: int) -> tuple[int, str, BlockStarSpec]:
@@ -119,16 +114,13 @@ def solve_even(n: int, k: int, r: int, s: int) -> tuple[int, str, BlockStarSpec]
     if k < r:
         raise ParameterError(f"need k >= r, got k={k}, r={r}")
     _check_params(k, s)
-    candidates: list[tuple[int, str, FeasibleTriple]] = []
-    if s >= k:
-        v1, t1 = maximize_g(k, r, s, "T1")
-        candidates.append((v1, "T1", t1))
-    v2, t2 = maximize_g(k, r, s, "T2")
-    candidates.append((v2 - comb(k - 1, r - 2), "T2", t2))
-    offset, family, triple = max(
-        candidates, key=lambda c: (c[0], c[1] == "T1")
-    )
-    central_k = 2 * k if family == "T1" else 2 * k - 1
+    candidates = []
+    for family, shrink in _FAMILIES.items():  # T1 first: max keeps it on ties
+        if s >= k - shrink:  # T1 is empty at s = k-1
+            value, triple = maximize_g(k, r, s, family)
+            candidates.append((value - shrink * comb(k - 1, r - 2), family, triple))
+    offset, family, triple = max(candidates, key=lambda c: c[0])
+    central_k = 2 * k - _FAMILIES[family]
     attached = (
         (2 * k - 1,) * triple.x
         + (2 * k - 2,) * triple.y

@@ -54,9 +54,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import OracleSizeError, ParameterError
+from .errors import OracleSizeError, ParameterError, WitnessOrderError
 from .family import ForbiddenFamily, is_family_free
-from .formulas import ex_even, ex_even_edges, ex_odd
+from .formulas import extremal_value
 from .graphs import (
     Graph,
     _iter_bits,
@@ -64,11 +64,12 @@ from .graphs import (
     count_cliques_in_mask,
     twin_partition,
 )
-from .graph_io import to_graph6
+from .graph_io import graph6_masks, graph6_string, to_graph6
 
 # perfbench/tracer.py rebinds these names in this module, which does not
 # call them; they stay importable so that its bindings resolve
 from .constructors import build_block_star, build_woodall_G0  # noqa: F401
+from .formulas import ex_even_edges, ex_odd  # noqa: F401
 from .matching import has_matching_of_size  # noqa: F401
 
 _ORACLE_BUDGET = 2_000_000  # one-vertex extensions per query
@@ -79,11 +80,12 @@ _WITNESS_CAP = 100
 # canonical forms
 
 
-def canonical_encoding(graph: Graph) -> tuple[int, ...]:
-    """Lexicographically minimal adjacency encoding over all relabelings.
+def canonical_encoding(graph: Graph) -> int:
+    """Minimal adjacency encoding over all relabelings: the graph6 body
+    (graph_io.graph6_string) of the relabeling whose body is least.
 
-    Entry j-1 holds the adjacency bits of position j toward positions
-    0..j-1 (earlier positions in higher bits), matching graph6 bit order.
+    Read from the top, the body holds, for each position j = 1..n-1, the
+    j adjacency bits of position j toward positions 0..j-1.
 
     The search places vertices at positions 0, 1, ... and prunes by two
     rules, neither of which can discard the minimum:
@@ -100,8 +102,8 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
       every placed vertex, so their two subtrees yield the same encodings.
 
     A node whose encoding prefix already exceeds the best one found is cut.
-    Prefixes are kept as one integer (entry j is j bits wide), so a node
-    costs one comparison.
+    A prefix is the top of a body, one integer, so a node costs one
+    comparison.
 
     There is no size limit or budget, and the time is exponential on
     sparse graphs without twins: minimum codes place an independent set
@@ -111,7 +113,7 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
     """
     n = graph.n
     if n <= 1:
-        return ()
+        return 0
     masks = graph.adjacency_masks
     twins = [0] * n  # twins[v]: the mask of v's twin class
     for members in twin_partition(masks):
@@ -144,21 +146,12 @@ def canonical_encoding(graph: Graph) -> tuple[int, ...]:
             )
 
     rec(0, 0, [(v, 0) for v in range(n)])
-    enc = []
-    for j in range(n - 1, 0, -1):
-        enc.append(best & ((1 << j) - 1))
-        best >>= j
-    return tuple(reversed(enc))
+    return best
 
 
-def graph_from_encoding(enc: tuple[int, ...], n: int) -> Graph:
-    edges = []
-    for j in range(1, n):
-        bits = enc[j - 1]
-        for i in range(j):
-            if (bits >> (j - 1 - i)) & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+def graph_from_encoding(enc: int, n: int) -> Graph:
+    """The graph on n vertices with the graph6 body enc."""
+    return Graph._trusted(graph6_masks(n, enc))
 
 
 def canonical_graph(graph: Graph) -> Graph:
@@ -170,7 +163,7 @@ def canonical_graph(graph: Graph) -> Graph:
 def canonical_graph6(graph: Graph) -> str:
     """The minimal graph6 string over all relabelings.  Exponential on
     sparse graphs without twins, with no limit: see canonical_encoding."""
-    return to_graph6(canonical_graph(graph))
+    return graph6_string(graph.n, canonical_encoding(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +212,7 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     tried = 0
     for size in range(1, n + 1):
         tried = _charge(tried, len(level), size)
-        seen: set[tuple[int, ...]] = set()
+        seen: set[int] = set()
         for g in level:
             base = g.adjacency_masks
             for nbr in _augmentations(base, range(1 << (size - 1))):
@@ -505,37 +498,28 @@ def verify_formula_region(
     """Probe where the asymptotic formula already matches the oracle.
 
     parity selects the forbidden threshold: "odd" forbids cycles of
-    length >= 2k+1, "even" forbids length >= 2k (using the edge formula
-    at r = 2).  Rows where the witness does not fit on n vertices carry
-    formula None and count as disagreement.
+    length >= 2k+1, "even" forbids length >= 2k; formulas.extremal_value
+    picks the formula, as the command line's compute does.  Rows where
+    the witness does not fit on n vertices (WitnessOrderError) carry
+    formula None and count as disagreement; any other ParameterError of
+    the formula is raised before the oracle runs.
     """
     if parity not in ("odd", "even"):
         raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+    probes = [(n, _formula_or_none(parity, n, k, s, r)) for n in n_range]
     k_c = 2 * k + 1 if parity == "odd" else 2 * k
     family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s, clique_order=r)
     rows = []
-    for n in n_range:
+    for n, ev in probes:
         oracle = brute_force_ex(n, family, jobs=jobs)
-        formula_value: int | None
-        below = True
-        try:
-            if parity == "odd":
-                ev = ex_odd(n, k, s, r)
-            elif r == 2:
-                ev = ex_even_edges(n, k, s)
-            else:
-                ev = ex_even(n, k, s, r)
-            formula_value = ev.value
-            below = ev.asymptotic_warning
-        except ParameterError:
-            formula_value = None
+        formula_value = None if ev is None else ev.value
         rows.append(
             RegionRow(
                 n=n,
                 oracle_value=oracle.max_count,
                 formula_value=formula_value,
                 agrees=formula_value == oracle.max_count,
-                below_threshold=below,
+                below_threshold=True if ev is None else ev.asymptotic_warning,
             )
         )
     rows.sort(key=lambda row: row.n)
@@ -548,3 +532,11 @@ def verify_formula_region(
     return RegionReport(
         k=k, s=s, r=r, parity=parity, rows=tuple(rows), first_agreement_n=first
     )
+
+
+def _formula_or_none(parity: str, n: int, k: int, s: int, r: int):
+    """extremal_value at n, or None when n is below the witness order."""
+    try:
+        return extremal_value(parity, n, k, s, r)
+    except WitnessOrderError:
+        return None

@@ -138,6 +138,28 @@ class TestConstructVerifyRoundTrip:
         # central f_2(12,7,3)=C(4,2)+8*3=30 plus C(6,2)+C(4,2)=21
         assert len([line for line in out.splitlines() if line]) == 51
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("H 5 3 9\n", "bad central block line 'H 5 3 9': need 2a <= k, got a=9, k=3"),
+            ("K 0\n", "bad central block line 'K 0': "
+                      "central clique order must be >= 1, got 0"),
+            ("K 4\n3\n1\n", "bad attached clique order '1': "
+                             "attached clique orders must be >= 2, got 1"),
+            ("K 4\nx\n", "bad attached clique order 'x': "
+                          "invalid literal for int() with base 10: 'x'"),
+            ("J 4\n", "first line must be 'H n k a' or 'K c', got 'J 4'"),
+        ],
+    )
+    def test_spec_file_faults_exit_2(self, capsys, tmp_path, text, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text)
+        code, out, err = _run(
+            capsys,
+            ["construct", "--witness", "block-star-spec-file", "--spec-file", str(spec)],
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_parameter_exit_1(self, capsys):
         code, _, err = _run(capsys, ["construct", "--witness", "H", "--n", "12"])
         assert code == 1
@@ -239,6 +261,33 @@ class TestTable:
              "--n-to", "5"],
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--parity", "odd", "--k", "1", "--s", "5"], "k must be >= 2, got 1"),
+            (["--parity", "even", "--k", "3", "--s", "5", "--r", "3", "--edges-only"],
+             "--edges-only requires r=2, got r=3"),
+        ],
+    )
+    def test_fault_that_ignores_n_exit_1(self, capsys, args, message):
+        # the same exit and message as compute, not a column of n/a rows
+        for argv in (["table", *args, "--n-from", "30", "--n-to", "31"],
+                     ["compute", *args, "--n", "30"]):
+            code, out, err = _run(capsys, argv)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_below_witness_order_rows_are_na(self, capsys):
+        # ex_odd(n, 3, 7, 3) needs n >= 17
+        code, out, _ = _run(
+            capsys,
+            ["table", "--parity", "odd", "--k", "3", "--s", "7", "--r", "3",
+             "--n-from", "15", "--n-to", "17"],
+        )
+        assert code == 0
+        rows = [line.split() for line in out.strip().splitlines()[1:]]
+        assert rows[:2] == [["15", "n/a", "-", "-"], ["16", "n/a", "-", "-"]]
+        assert rows[2][:3] == ["17", "53", "Case2"]
 
 
 class TestSelfcheck:

@@ -4,6 +4,7 @@ import pytest
 
 from genturan import (
     ParameterError,
+    WitnessOrderError,
     build_H,
     build_block_star,
     count_cliques,
@@ -12,6 +13,7 @@ from genturan import (
     ex_even_edges,
     ex_matching_only,
     ex_odd,
+    extremal_value,
     f_value,
     g_value,
     h_value,
@@ -292,3 +294,55 @@ class TestMatchingOnlyAndWoodall:
             for q in range(0, 4):
                 n = q * (k - 2) + (k - 2) + 1
                 assert woodall_bound(n, k) == (q + 1) * comb(k - 1, 2)
+
+
+class TestExtremalValue:
+    def test_dispatch(self):
+        # odd parity ignores edges_only at r = 2
+        for edges_only in (False, True):
+            assert extremal_value("odd", 30, 3, 7, 2, edges_only) == ex_odd(30, 3, 7, 2)
+        assert extremal_value("odd", 30, 3, 7, 3) == ex_odd(30, 3, 7, 3)
+        assert extremal_value("even", 30, 2, 2, 2) == ex_even_edges(30, 2, 2)
+        assert extremal_value("even", 30, 3, 5, 2) == ex_even(30, 3, 5, 2)
+        assert extremal_value("even", 30, 3, 5, 2, True) == ex_even_edges(30, 3, 5)
+        assert extremal_value("even", 30, 3, 5, 3) == ex_even(30, 3, 5, 3)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("even", 30, 3, 5, 3, True), "--edges-only requires r=2, got r=3"),
+            (("odd", 30, 3, 5, 3, True), "--edges-only requires r=2, got r=3"),
+            (("both", 30, 3, 5, 2), "parity must be 'odd' or 'even', got 'both'"),
+            (("odd", 30, 1, 5, 2), "k must be >= 2, got 1"),
+        ],
+    )
+    def test_faults_that_ignore_n(self, args, message):
+        with pytest.raises(ParameterError) as info:
+            extremal_value(*args)
+        assert str(info.value) == message
+        assert not isinstance(info.value, WitnessOrderError)
+
+    def test_below_witness_order_is_its_own_error(self):
+        for parity, k, s, r in [("odd", 3, 7, 2), ("even", 3, 5, 2), ("even", 3, 5, 3),
+                                ("even", 2, 2, 2)]:
+            with pytest.raises(WitnessOrderError):
+                extremal_value(parity, 3, k, s, r)
+
+    def test_even_formulas_agree_at_r2(self):
+        # the dispatch may send r = 2, k >= 3 to either even formula: they
+        # agree in value and witness, and refuse the same n
+        for k in range(3, 7):
+            for s in range(k - 1, 4 * k):
+                for n in range(1, 6 * s + 2 * k + 2):
+                    try:
+                        edges = ex_even_edges(n, k, s)
+                    except WitnessOrderError:
+                        with pytest.raises(WitnessOrderError):
+                            ex_even(n, k, s, 2)
+                        continue
+                    general = ex_even(n, k, s, 2)
+                    assert general.value == edges.value, (n, k, s)
+                    assert general.witness == edges.witness, (n, k, s)
+                    assert general.asymptotic_warning == edges.asymptotic_warning
+                    assert {general.regime, edges.regime} in ({"T1", "St2"}, {"T2", "St1"})
+

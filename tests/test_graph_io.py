@@ -11,6 +11,8 @@ from genturan import (
     to_graph6,
 )
 
+from genturan.graph_io import graph6_masks, graph6_string
+
 from conftest import graphs, path_graph
 
 
@@ -31,6 +33,17 @@ class TestGraph6:
         assert to_graph6(Graph(0)) == "?"
         assert from_graph6("?") == Graph(0)
         assert from_graph6(to_graph6(Graph(1))) == Graph(1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=70, min_n=0))
+    def test_body_packing_against_bitwise_body(self, g):
+        # the body read pair by pair in graph6 order, (0,1) in the top bit
+        body = 0
+        for v in range(1, g.n):
+            for u in range(v):
+                body = body << 1 | g.has_edge(u, v)
+        assert graph6_string(g.n, body) == to_graph6(g)
+        assert graph6_masks(g.n, body) == list(g.adjacency_masks)
 
     def test_large_order_header(self):
         g = Graph(70, [(0, 69)])

@@ -12,6 +12,7 @@ from genturan import (
     ForbiddenFamily,
     Graph,
     OracleSizeError,
+    ParameterError,
     brute_force_ex,
     build_woodall_G0,
     canonical_graph,
@@ -142,6 +143,13 @@ class TestCanonicalForm:
             assert canonical_encoding(g.relabeled(perm)) == key
             keys.add(key)
         assert len(keys) == 1044
+
+    def test_encoding_is_the_canonical_graph6_body(self):
+        rng = random.Random(4)
+        for n in range(0, 9):
+            g = random_graph(rng, n, 0.4)
+            canon = from_graph6(canonical_graph6(g))
+            assert graph_from_encoding(canonical_encoding(g), n) == canon
 
 
 class TestEnumerateFamilyFree:
@@ -491,3 +499,45 @@ class TestVerifyFormulaRegion:
         for row in report.rows:
             if row.formula_value is not None:
                 assert row.oracle_value >= row.formula_value
+
+
+class _StubOracle:
+    """brute_force_ex stand-in for the region tests: a fixed maximum."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, n, family, jobs=1):
+        self.calls.append(n)
+        return type("Result", (), {"max_count": 53})()
+
+
+class TestRegionRefusals:
+    @pytest.mark.parametrize(
+        "k, s, r, parity, message",
+        [
+            (1, 5, 2, "odd", "k must be >= 2, got 1"),
+            (2, 5, 3, "even", "k must be >= 3, got 2"),
+            (3, 1, 2, "even", "need s >= k-1, got s=1, k=3"),
+            (3, 5, 2, "both", "parity must be 'odd' or 'even', got 'both'"),
+        ],
+    )
+    def test_fault_that_ignores_n_raises_before_the_oracle(
+        self, monkeypatch, k, s, r, parity, message
+    ):
+        stub = _StubOracle()
+        monkeypatch.setattr(oracle_module, "brute_force_ex", stub)
+        with pytest.raises(ParameterError) as info:
+            verify_formula_region(k, s, r, parity, range(4, 8))
+        assert str(info.value) == message
+        assert stub.calls == []
+
+    def test_below_witness_order_row_has_no_formula(self, monkeypatch):
+        # ex_odd(n, 3, 7, 3) needs n >= 17, where it gives 53
+        stub = _StubOracle()
+        monkeypatch.setattr(oracle_module, "brute_force_ex", stub)
+        report = verify_formula_region(3, 7, 3, "odd", [16, 17])
+        assert stub.calls == [16, 17]
+        assert [(row.formula_value, row.agrees, row.below_threshold)
+                for row in report.rows] == [(None, False, True), (53, True, True)]
+        assert report.first_agreement_n == 17
