@@ -247,17 +247,10 @@ def ex_even(n: int, k: int, s: int, r: int) -> ExtremalValue:
     two feasible families (the second discounted by C(k-1, r-2)); the
     witness realizes the winning profile.  The first family is empty
     exactly when s = k-1, in which case only the second competes.
+    solve_even checks the domain (r >= 2, k >= 3, k >= r, s >= k-1).
     """
     from .optimizer import solve_even
 
-    if r < 2:
-        raise ParameterError(f"r must be >= 2, got {r}")
-    if k < 3:
-        raise ParameterError(f"k must be >= 3, got {k}")
-    if k < r:
-        raise ParameterError(f"need k >= r, got k={k}, r={r}")
-    if s < k - 1:
-        raise ParameterError(f"need s >= k-1, got s={s}, k={k}")
     offset, family, spec = solve_even(n, k, r, s)
     return ExtremalValue(comb(k - 1, r - 1) * n + offset, family, spec, _warn(n, s))
 

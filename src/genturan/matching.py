@@ -255,35 +255,48 @@ def _validate_certificate(graph: Graph, cert: BergeTutteCertificate, s: int) -> 
         raise AssertionError("certificate slack is inconsistent")
 
 
+def gallai_edmonds_set(graph: Graph) -> int:
+    """D(G) as a vertex mask: the vertices that some maximum matching
+    misses (Lovasz-Plummer, Matching Theory, ch. 3).
+
+    D is the set of outer vertices of one alternating forest grown from
+    every exposed vertex of the cached maximum matching.  So nu(G + w) =
+    nu(G) + 1 for a new vertex w iff N(w) meets D: w matched to v in D
+    extends a maximum matching that misses v, and a matching of G + w
+    larger than nu(G) covers w by an edge wv and leaves one of G - v of
+    size nu(G)."""
+    n = graph.n
+    match = [-1] * n
+    for u, v in maximum_matching_edges(graph):
+        match[u], match[v] = v, u
+    adj_lists = [list(_iter_bits(a)) for a in graph.adjacency_masks]
+    outer = _augment_from(adj_lists, match, [v for v in range(n) if match[v] < 0], n)
+    if outer is None:
+        raise AssertionError("the cached matching is not maximum")
+    # one int from a bit string: OR-ing 1 << v per vertex is quadratic
+    return int("0" + "".join("1" if o else "0" for o in reversed(outer)), 2)
+
+
 def berge_tutte_certificate(graph: Graph, s: int) -> BergeTutteCertificate | None:
     """The Gallai-Edmonds certificate of nu(G) <= s; None iff nu(G) > s.
 
-    Returns A = N(D) - D, D the outer vertices of one alternating forest
-    grown from every exposed vertex of the cached maximum matching (the
-    vertices some maximum matching misses).  |A| + sum floor(|K|/2) over
+    Returns A = N(D) - D, D = gallai_edmonds_set(graph) (the vertices
+    some maximum matching misses).  |A| + sum floor(|K|/2) over
     the components K of G - A is nu(G), so slack = s - nu(G).  A depends
     on G alone: the certificate is unique, but not always the smallest.
     """
     if s < 0:
         raise ParameterError(f"s must be >= 0, got {s}")
-    edges = maximum_matching_edges(graph)
-    if len(edges) > s:
+    nu = len(maximum_matching_edges(graph))
+    if nu > s:
         return None
-    n, adj = graph.n, graph.adjacency_masks
-    match = [-1] * n
-    for u, v in edges:
-        match[u], match[v] = v, u
-    adj_lists = [list(_iter_bits(a)) for a in adj]
-    outer = _augment_from(adj_lists, match, [v for v in range(n) if match[v] < 0], n)
-    if outer is None:
-        raise AssertionError("the cached matching is not maximum")
-    d_mask = a_mask = 0
-    for v in range(n):
-        if outer[v]:
-            d_mask |= 1 << v
-            a_mask |= adj[v]
+    adj = graph.adjacency_masks
+    d_mask = gallai_edmonds_set(graph)
+    a_mask = 0
+    for v in _iter_bits(d_mask):
+        a_mask |= adj[v]
     vertex_set = tuple(list(_iter_bits(a_mask & ~d_mask)))
     sizes = _component_sizes(graph, vertex_set)
-    cert = BergeTutteCertificate(vertex_set, tuple(sizes), s, s - len(edges))
+    cert = BergeTutteCertificate(vertex_set, tuple(sizes), s, s - nu)
     _validate_certificate(graph, cert, s)
     return cert

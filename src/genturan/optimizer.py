@@ -41,14 +41,17 @@ class FeasibleTriple:
     g: int | None = None
 
 
-def _check_params(k: int, s: int) -> None:
-    if k == 2:
-        raise ParameterError(
-            "k=2 is rejected: the order-(2k-2) block count y is unconstrained "
-            "there; use the even edge formula instead"
-        )
+def _check_even_domain(k: int, s: int, r: int = 2) -> None:
+    """The even case's domain, checked in one order by every entry point
+    (ex_even through solve_even, extremal_even_witness, enumerate_feasible),
+    so that one fault gets one message: r >= 2, k >= 3 (at k = 2 the y
+    count is unbounded), k >= r, s >= k - 1."""
+    if r < 2:
+        raise ParameterError(f"r must be >= 2, got {r}")
     if k < 3:
         raise ParameterError(f"k must be >= 3, got {k}")
+    if k < r:
+        raise ParameterError(f"need k >= r, got k={k}, r={r}")
     if s < k - 1:
         raise ParameterError(f"need s >= k-1, got s={s}, k={k}")
 
@@ -59,7 +62,7 @@ def enumerate_feasible(k: int, s: int, family: str) -> list[FeasibleTriple]:
     Bounds follow from the budget: x <= budget/(k-1), y <= budget/(k-2)
     and 1 <= z <= 2k-1 where budget = s - central cost.
     """
-    _check_params(k, s)
+    _check_even_domain(k, s)
     if family not in _FAMILIES:
         raise ParameterError(
             f"family must be one of {tuple(_FAMILIES)}, got {family!r}"
@@ -109,11 +112,7 @@ def solve_even(n: int, k: int, r: int, s: int) -> tuple[int, str, BlockStarSpec]
     central block would be too small to reach its designed matching
     number are rejected.
     """
-    if r < 2:
-        raise ParameterError(f"r must be >= 2, got {r}")
-    if k < r:
-        raise ParameterError(f"need k >= r, got k={k}, r={r}")
-    _check_params(k, s)
+    _check_even_domain(k, s, r)
     candidates = []
     for family, shrink in _FAMILIES.items():  # T1 first: max keeps it on ties
         if s >= k - shrink:  # T1 is empty at s = k-1

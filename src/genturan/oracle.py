@@ -13,20 +13,29 @@ enumerate_family_free returns the classes of the last level.
 A query may try _ORACLE_BUDGET one-vertex extensions (the examined unit),
 charged a level at a time before the level runs, whatever the parallelism.
 
-Two exact filters drop most extensions before their family check and
-their canonical form: the new vertex must have the largest key (degree,
-then sorted neighbour degrees) of the extension, and its neighbourhood
-takes the lowest-labelled members of each class of open or closed twins
-of the parent.  _augmentations applies both and shows that they lose no
-class; the canonical-form set still removes the duplicates they let
-through.
+No extension is family-checked on its own.  Its parent is family-free,
+so _free_extension_test reads the freeness of every extension off two
+facts about the parent, computed once per parent: the vertices that some
+maximum matching misses (one alternating forest), and the pairs of
+vertices joined by a path long enough to close a forbidden cycle through
+the new vertex (one path search).  Each extension then costs one AND for
+the matching and one lookup per neighbour for the cycles.
+
+Two exact filters drop most extensions before their canonical form: the
+new vertex must have the largest key (degree, then sorted neighbour
+degrees) of the extension, and its neighbourhood takes the
+lowest-labelled members of each class of open or closed twins of the
+parent.  _augmentations shows that they lose no class; the
+canonical-form set still removes the duplicates they let through.  Every
+filter only drops extensions, so they run cheapest first.
 
 brute_force_ex grows the classes to n - 1 vertices and streams the
-one-vertex extensions of each of them that pass the two filters,
-without keeping the last level.  The K_r count of an extension is the
-parent's count plus the (r-1)-cliques in the new vertex's neighbourhood;
-an extension below the best count seen so far is dropped before its
-family check, and only the family-free extensions that reach it are
+one-vertex extensions of each of them that pass the filters, without
+keeping the last level.  The K_r count of an extension is the parent's
+count plus the (r-1)-cliques in the new vertex's neighbourhood; an
+extension below the best count seen so far is dropped before its family
+test, a parent's test is built only once one of its extensions reaches
+that count, and only the family-free extensions that reach it are
 canonicalised.  Parents are split over
 processes for jobs > 1 and the results merged as sets, so maxima, witness
 sets and the examined counter are identical regardless of parallelism.
@@ -52,7 +61,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import OracleSizeError, ParameterError, WitnessOrderError
 from .family import ForbiddenFamily, is_family_free
@@ -62,9 +71,11 @@ from .graphs import (
     _iter_bits,
     count_cliques,
     count_cliques_in_mask,
+    reach,
     twin_partition,
 )
 from .graph_io import graph6_masks, graph6_string, to_graph6
+from .matching import gallai_edmonds_set, max_matching
 
 # perfbench/tracer.py rebinds these names in this module, which does not
 # call them; they stay importable so that its bindings resolve
@@ -175,9 +186,10 @@ def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
 
     Grows graphs one vertex at a time (freeness is inherited by induced
     subgraphs) with canonical-form deduplication at each level; only the
-    extensions that pass the two exact filters of _augmentations are
-    family-checked and canonicalised.  Yields canonical graphs in encoding
-    order.  Raises OracleSizeError before a level passes _ORACLE_BUDGET.
+    extensions that pass the parent's family test (_free_extension_test)
+    and the exact filters of _augmentations are canonicalised.  Yields
+    canonical graphs in encoding order.  Raises OracleSizeError before a
+    level passes _ORACLE_BUDGET.
     """
     _charge(0, 1, n)
     yield from _grow_classes(n, family)[0]
@@ -205,9 +217,11 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     order, and the one-vertex extensions tried to grow them (the filtered
     ones included).
 
-    Each level family-checks and canonicalises only the extensions that
-    pass the two filters of _augmentations, which lose no class, and
-    deduplicates them by canonical form.  Each level is _charge'd first."""
+    Each level canonicalises only the extensions that pass, in this
+    order, the cheap filters of _augmentations, the parent's family test
+    (_free_extension_test, built once per parent) and _keeps_new_vertex,
+    and deduplicates them by canonical form.  The filters lose no class.
+    Each level is _charge'd first."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
@@ -215,44 +229,44 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
         seen: set[int] = set()
         for g in level:
             base = g.adjacency_masks
-            for nbr in _augmentations(base, range(1 << (size - 1))):
-                h = _extend(base, nbr)
-                if is_family_free(h, family):
-                    seen.add(canonical_encoding(h))
+            degrees = [m.bit_count() for m in base]
+            free = _free_extension_test(g, family)
+            for nbr in _augmentations(base, degrees, range(1 << (size - 1))):
+                if free(nbr) and _keeps_new_vertex(base, degrees, nbr):
+                    seen.add(canonical_encoding(_extend(base, nbr)))
         level = [graph_from_encoding(key, size) for key in sorted(seen)]
     return level, tried
 
 
-def _augmentations(base: tuple[int, ...], nbrs: range) -> Iterator[int]:
+def _augmentations(
+    base: tuple[int, ...], degrees: list[int], nbrs: range
+) -> Iterator[int]:
     """The neighbourhoods in nbrs (masks below len(base)) whose extensions
-    of the graph with adjacency masks base pass two exact filters:
+    of the graph with adjacency masks base and vertex degrees degrees pass
+    the cheap parts of two exact filters, which together lose no class:
 
     * canonical deletion by invariant: the new vertex w has the largest
       deletion key of the extension, ties kept (_keeps_new_vertex).  As w
       gets degree |nbr| and every parent vertex keeps at least its degree,
-      |nbr| >= the parent's maximum degree is tested first;
+      only |nbr| >= the parent's maximum degree is tested here; the
+      callers run _keeps_new_vertex itself last, after cheaper tests;
     * parent twin rule: within each class of twins of the parent, nbr
       takes the lowest-labelled members (_twin_representative).
 
-    Together they lose no isomorphism class.  A class C has a vertex v of
-    largest key, and C - v is family-free (freeness is inherited by
-    induced subgraphs), so it is a parent, and its extension that
-    recreates v passes the first filter.  Swapping two twins of the parent
-    is an automorphism that fixes w and maps one neighbourhood onto the
-    other, so moving that neighbourhood onto the lowest twins gives an
-    isomorphic extension in which w has the same key; it passes both.
-    Duplicates pass too: the caller's set of canonical forms removes
-    them, so no orbits are needed.
+    A class C has a vertex v of largest key, and C - v is family-free
+    (freeness is inherited by induced subgraphs), so it is a parent, and
+    its extension that recreates v passes the first filter.  Swapping two
+    twins of the parent is an automorphism that fixes w and maps one
+    neighbourhood onto the other, so moving that neighbourhood onto the
+    lowest twins gives an isomorphic extension in which w has the same
+    key; it passes both.  Duplicates pass too: the caller's set of
+    canonical forms removes them, so no orbits are needed.  Every filter
+    only drops extensions, so their order does not change the result.
     """
-    degrees = [m.bit_count() for m in base]
     floor = max(degrees, default=0)
     classes = [sum(1 << v for v in c) for c in twin_partition(base) if len(c) > 1]
     for nbr in nbrs:
-        if (
-            nbr.bit_count() >= floor
-            and _twin_representative(classes, nbr) == nbr
-            and _keeps_new_vertex(base, degrees, nbr)
-        ):
+        if nbr.bit_count() >= floor and _twin_representative(classes, nbr) == nbr:
             yield nbr
 
 
@@ -312,6 +326,89 @@ def _extend(base: tuple[int, ...], nbr: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# family tests of one-vertex extensions
+
+
+def _free_extension_test(
+    parent: Graph, family: ForbiddenFamily
+) -> Callable[[int], bool]:
+    """For a family-free parent G, the test of a neighbourhood mask nbr
+    for whether G + w, w joined to the vertices of nbr, is family-free.
+
+    Built once per parent, it reads each extension off two facts about G:
+
+    * matching: nu(G + w) = nu(G) + 1 iff nbr meets D(G), the vertices
+      that some maximum matching misses (matching.gallai_edmonds_set).
+      So with bound s, every extension is free when nu(G) < s, and when
+      nu(G) = s the free ones are those with nbr & D == 0;
+    * cycles: G has no cycle of length >= k_c, so every such cycle of
+      G + w passes through w, and is w plus a u-v path of G with u, v in
+      nbr and at least k_c - 1 vertices.  So G + w is free iff no u in
+      nbr has far[u] & nbr nonzero (_far_ends).
+    """
+    blocked = 0
+    s = family.matching_bound
+    if s is not None and max_matching(parent) == s:
+        blocked = gallai_edmonds_set(parent)
+    if family.cycle_min_len is None:
+        return lambda nbr: not nbr & blocked
+    far = _far_ends(parent.adjacency_masks, family.cycle_min_len - 1)
+
+    def free(nbr: int) -> bool:
+        if nbr & blocked:
+            return False
+        m = nbr
+        while m:
+            low = m & -m
+            m ^= low
+            if far[low.bit_length() - 1] & nbr:
+                return False
+        return True
+
+    return free
+
+
+def _far_ends(adj: tuple[int, ...], length: int) -> list[int]:
+    """far[u]: the mask of the vertices v that u reaches by a path of at
+    least `length` >= 2 vertices in the graph with adjacency masks adj.
+
+    The relation is symmetric, so the path DFS from u looks only for ends
+    v > u of its component, and cuts a branch once the vertices it can
+    still reach (graphs.reach) are too few to make the path long enough or
+    hold no wanted end not found yet.  A start whose component has fewer
+    than `length` vertices is skipped, and a start stops once every
+    wanted end is found."""
+    n = len(adj)
+    everything = (1 << n) - 1
+    far = [0] * n
+    for u in range(n):
+        component = reach(adj, everything, 1 << u)
+        want = component & ~((2 << u) - 1)
+        if component.bit_count() < length or not want:
+            continue
+        found = 0
+        stack = [(u, 1 << u, 1)]
+        while stack and want & ~found:
+            v, on_path, size = stack.pop()
+            rest = component & ~on_path
+            step = adj[v] & rest
+            if size + 1 >= length:
+                found |= step  # each step ends a path of size + 1 vertices
+            ahead = reach(adj, rest, step)
+            if size + ahead.bit_count() < length or not ahead & want & ~found:
+                continue
+            while step:
+                low = step & -step
+                step ^= low
+                stack.append((low.bit_length() - 1, on_path | low, size + 1))
+        found &= want
+        far[u] |= found
+        for v in _iter_bits(found):
+            far[v] |= 1 << u
+    return far
+
+
+# ---------------------------------------------------------------------------
 # exhaustive maximization
 
 
@@ -368,7 +465,7 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
         parents, examined = _grow_classes(n - 1, family)
         examined = _charge(examined, len(parents), n)
         # dense parents first, so the best count rises early and most
-        # extensions are dropped before their family check
+        # extensions are dropped before their family test
         parents.reverse()
         workers = _worker_count(jobs, len(parents))
         shares = [parents[i::workers] for i in range(workers)]
@@ -402,28 +499,35 @@ def _best_extensions(
     parents, and the least _WITNESS_CAP canonical graph6 strings of the
     extensions that reach it.
 
-    Only the extensions that pass the two filters of _augmentations,
-    which lose no class, are counted, checked and canonicalised.  When the
-    parents are split over processes, a class C is found by the process
-    holding the parent C - v that the argument there names."""
+    The extensions that pass the cheap filters of _augmentations are
+    counted; those that reach the best count so far are tested by the
+    parent's family test (_free_extension_test, built on the first such
+    extension, so a parent none of whose extensions reaches the count
+    pays for no test) and then by _keeps_new_vertex, and only the ones
+    left are canonicalised.  The filters lose no class.  When the parents
+    are split over processes, a class C is found by the process holding
+    the parent C - v that the argument of _augmentations names."""
     r = family.clique_order
     best = -1
     maximisers: set[str] = set()
     for parent in parents:
         base = parent.adjacency_masks
+        degrees = [m.bit_count() for m in base]
         inherited = count_cliques(parent, r)
+        free = None  # built on the first extension that reaches best
         # largest neighbourhoods first, for the same reason as dense parents
-        for nbr in _augmentations(base, range((1 << parent.n) - 1, -1, -1)):
+        for nbr in _augmentations(base, degrees, range((1 << parent.n) - 1, -1, -1)):
             count = inherited + count_cliques_in_mask(base, nbr, r - 1)
             if count < best:
                 continue
-            h = _extend(base, nbr)
-            if not is_family_free(h, family):
+            if free is None:
+                free = _free_extension_test(parent, family)
+            if not (free(nbr) and _keeps_new_vertex(base, degrees, nbr)):
                 continue
             if count > best:
                 best = count
                 maximisers.clear()
-            maximisers.add(canonical_graph6(h))
+            maximisers.add(canonical_graph6(_extend(base, nbr)))
     return best, sorted(maximisers)[:_WITNESS_CAP]
 
 

@@ -19,7 +19,11 @@ from genturan import (
     maximum_matching_edges,
 )
 from genturan.matching import _component_sizes as _linear_component_sizes
-from genturan.matching import _validate_certificate, has_matching_of_size
+from genturan.matching import (
+    _validate_certificate,
+    gallai_edmonds_set,
+    has_matching_of_size,
+)
 
 from conftest import cycle_graph, graphs, graphs_with_twin_class, random_graph, star_graph
 
@@ -250,9 +254,9 @@ def certificate_by_subset_scan(g: Graph) -> tuple[int, set[tuple[int, ...]]]:
     return best, attaining
 
 
-def _gallai_edmonds_by_enumeration(g: Graph) -> tuple[int, ...]:
-    """A = N(D) - D, D the vertices missed by some maximum matching, found
-    as the v with nu(G - v) = nu(G)."""
+def _deficient_by_enumeration(g: Graph) -> set[int]:
+    """D, the vertices missed by some maximum matching, found as the v with
+    nu(G - v) = nu(G)."""
     nu = max_matching_by_enumeration(g)
     deficient = set()
     for v in range(g.n):
@@ -263,8 +267,30 @@ def _gallai_edmonds_by_enumeration(g: Graph) -> tuple[int, ...]:
         )
         if max_matching_by_enumeration(minus_v) == nu:
             deficient.add(v)
+    return deficient
+
+
+def _gallai_edmonds_by_enumeration(g: Graph) -> tuple[int, ...]:
+    """A = N(D) - D, D the vertices missed by some maximum matching."""
+    deficient = _deficient_by_enumeration(g)
     nbrs = _neighbours(g)
     return tuple(sorted(set().union(*(nbrs[v] for v in deficient)) - deficient))
+
+
+class TestGallaiEdmondsSet:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graphs(max_n=10), graphs_with_twin_class(max_n=10)))
+    def test_against_enumeration(self, g):
+        d = gallai_edmonds_set(g)
+        assert {v for v in range(g.n) if (d >> v) & 1} == _deficient_by_enumeration(g)
+
+    def test_named_graphs(self):
+        # an odd cycle misses any vertex; a star misses its leaves; a
+        # perfect matching misses none
+        assert gallai_edmonds_set(cycle_graph(7)) == (1 << 7) - 1
+        assert gallai_edmonds_set(star_graph(5)) == 0b11110
+        assert gallai_edmonds_set(cycle_graph(6)) == 0
+        assert gallai_edmonds_set(Graph(0)) == 0
 
 
 class TestGallaiEdmondsCertificate:

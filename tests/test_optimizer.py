@@ -15,6 +15,7 @@ from genturan import (
     max_matching,
     maximize_g,
 )
+from genturan.optimizer import solve_even
 
 
 def _brute_triples(k, s, central_cost):
@@ -149,6 +150,27 @@ class TestExtremalEvenWitness:
             g = build_block_star(spec)
             assert max_matching(g) <= k - 1
             assert spec.central.k == 2 * k - 1
+
+    @pytest.mark.parametrize(
+        "k, s, r, message",
+        [
+            (3, 5, 1, "r must be >= 2, got 1"),
+            (2, 4, 2, "k must be >= 3, got 2"),
+            (2, 4, 3, "k must be >= 3, got 2"),
+            (3, 5, 4, "need k >= r, got k=3, r=4"),
+            (4, 2, 5, "need k >= r, got k=4, r=5"),
+            (4, 2, 3, "need s >= k-1, got s=2, k=4"),
+        ],
+    )
+    def test_one_domain_check_for_every_entry_point(self, k, s, r, message):
+        for call in (
+            lambda: ex_even(30, k, s, r),
+            lambda: solve_even(30, k, r, s),
+            lambda: extremal_even_witness(30, k, r, s),
+        ):
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_too_small_composition_rejected(self):
         with pytest.raises(ParameterError):

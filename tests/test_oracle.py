@@ -33,6 +33,7 @@ from genturan.matching import max_matching_by_enumeration
 from genturan import oracle as oracle_module
 from genturan.oracle import (
     _deletion_key,
+    _free_extension_test,
     _grow_classes,
     _keeps_new_vertex,
     _twin_representative,
@@ -161,6 +162,12 @@ class TestEnumerateFamilyFree:
         assert len(list(enumerate_family_free(6, fam))) == 156
         assert len(list(enumerate_family_free(7, fam))) == 1044
 
+    def test_forest_counts(self):
+        # unlabelled forests on n = 1..9 vertices, OEIS A005195
+        forests = ForbiddenFamily(cycle_min_len=3)
+        counts = [len(list(enumerate_family_free(n, forests))) for n in range(1, 10)]
+        assert counts == [1, 2, 3, 6, 10, 20, 37, 76, 153]
+
     def test_triangle_free_n3(self):
         graphs = list(enumerate_family_free(3, ForbiddenFamily(cycle_min_len=3)))
         assert len(graphs) == 3
@@ -267,6 +274,52 @@ class TestAugmentationFilters:
         assert canonical_encoding(_extension(parent, rep)) == canonical_encoding(
             _extension(parent, nbr)
         )
+
+
+@st.composite
+def _free_parents_and_families(draw, max_n: int = 8):
+    """A family with k_c in {None, 3..9} and s in {None, 0..4}, and a
+    parent made family-free by deleting an edge of each violation found
+    (a parent with open and closed twins half of the time)."""
+    k_c = draw(st.sampled_from([None, *range(3, 10)]))
+    s = draw(st.sampled_from([None, *range(5)]))
+    family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s)
+    parent = draw(st.one_of(graphs(max_n=max_n), _graphs_with_twin_classes(max_n)))
+    edges = set(parent.edges())
+    while not (report := is_family_free(Graph(parent.n, edges), family)):
+        u, v = report.cycle[:2] if report.cycle else report.matching[0]
+        edges.discard((min(u, v), max(u, v)))
+    return Graph(parent.n, edges), family
+
+
+class TestFreeExtensionTest:
+    @settings(max_examples=150, deadline=None)
+    @given(_free_parents_and_families())
+    def test_against_family_check_of_every_extension(self, case):
+        parent, family = case
+        free = _free_extension_test(parent, family)
+        for nbr in range(1 << parent.n):
+            expected = bool(is_family_free(_extension(parent, nbr), family))
+            assert free(nbr) == expected, (nbr, family)
+
+    def test_oracle_makes_no_family_check_per_extension(self, monkeypatch):
+        # the only family check left is brute_force_ex's K_n test
+        checked = []
+        real = oracle_module.is_family_free
+        monkeypatch.setattr(
+            oracle_module, "is_family_free", lambda g, f: checked.append(g) or real(g, f)
+        )
+        for n, kwargs in (
+            (7, dict(cycle_min_len=5, matching_bound=5)),
+            (7, dict(cycle_min_len=4, matching_bound=2, clique_order=3)),
+            (6, dict(cycle_min_len=3)),
+        ):
+            checked.clear()
+            brute_force_ex(n, ForbiddenFamily(**kwargs))
+            assert checked == [Graph.complete(n)]
+        checked.clear()
+        list(enumerate_family_free(6, ForbiddenFamily(cycle_min_len=5, matching_bound=2)))
+        assert checked == []
 
 
 class TestBruteForce:
@@ -387,10 +440,12 @@ class TestBruteForce:
         parents, tried = _grow_classes(5, family)
         last = tried + (len(parents) << 5)
         assert last == brute_force_ex(6, family).examined == 715
-        checked = []
-        real = oracle_module.is_family_free
+        tested = []  # the parents whose extensions were family-tested
+        real = oracle_module._free_extension_test
         monkeypatch.setattr(
-            oracle_module, "is_family_free", lambda g, f: checked.append(g) or real(g, f)
+            oracle_module,
+            "_free_extension_test",
+            lambda g, f: tested.append(g) or real(g, f),
         )
         monkeypatch.setattr(oracle_module, "_ORACLE_BUDGET", last - 1)
         messages = set()
@@ -400,13 +455,13 @@ class TestBruteForce:
             lambda: brute_force_ex(6, family, jobs=1),
             lambda: brute_force_ex(6, family, jobs=2),
         ):
-            checked.clear()
+            tested.clear()
             with pytest.raises(OracleSizeError) as info:
                 grow()
             messages.add(str(info.value))
-            # levels 1..5 ran, level 6 was refused before any extension (the
-            # K_6 test of brute_force_ex comes before the growth)
-            assert max(g.n for g in checked if g != Graph.complete(6)) == 5
+            # levels 1..5 ran, so the parents on 4 vertices were extended;
+            # level 6 was refused before any parent on 5 vertices was
+            assert max(g.n for g in tested) == 4
         assert messages == {
             f"the graphs on 6 vertices take at least {tried:,} + "
             f"{len(parents)}*2^5 one-vertex extensions, past the oracle budget "
