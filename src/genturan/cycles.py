@@ -21,13 +21,15 @@ the search exact but fast on the structured graphs this package builds:
   yet exhausted leaves no room for a cycle longer than the best found;
 * start vertices are processed in decreasing-degree order and deleted
   once exhausted (all cycles through them have been seen);
-* vertices with identical open neighborhoods among the still-alive
-  vertices are interchangeable on any cycle, so only the least unused
-  member of each such twin class is ever tried as an extension.  The
-  kernel leaves up to |N| members per class and deleting exhausted start
-  vertices makes new twins, so this still pays: on the extremal witness
-  grid up to n = 60 (976 seed-1 relabelled graphs, 1952 calls at the
-  family threshold and one below; 2-vCPU Xeon, Python 3.11.7),
+* twins among the still-alive vertices (the open or closed twin classes
+  of G[alive], read from graphs.twin_partition) are interchangeable on
+  any cycle: swapping two twins off the path is an automorphism of
+  G[alive] that fixes the path, so only the least unused member of each
+  class is ever tried as an extension.  The kernel leaves up to |N|
+  members per open class, keeps every closed one, and deleting exhausted
+  start vertices makes new twins, so this still pays: on the extremal
+  witness grid up to n = 60 (976 seed-1 relabelled graphs, 1952 calls at
+  the family threshold and one below; 2-vCPU Xeon, Python 3.11.7),
   `find_cycle_geq` takes 0.18-0.27 s with every device, 1.1-1.3 s
   without the block bound, and in single runs 10.8 s with neither the
   bound nor the twin skip and 6.8 s with neither the bound nor the
@@ -44,14 +46,7 @@ from __future__ import annotations
 
 from .blocks import _raw_blocks
 from .errors import BudgetExceededError, ParameterError
-from .graphs import (
-    Graph,
-    _iter_bits,
-    reach,
-    twin_class_masks,
-    twin_classes,
-    twin_kernel,
-)
+from .graphs import Graph, _iter_bits, reach, twin_kernel, twin_masks, twin_partition
 
 
 class _SearchState:
@@ -72,7 +67,6 @@ class _SearchState:
 def _longest_cycle_in_block(
     adj: tuple[int, ...],
     block_mask: int,
-    n: int,
     target: int | None,
     state: _SearchState,
 ) -> tuple[int, list[int] | None]:
@@ -94,7 +88,7 @@ def _longest_cycle_in_block(
         needed = target if target is not None else best_len + 1
         if alive.bit_count() < max(needed, 3):
             break
-        class_mask = twin_class_masks(adj, alive, n)
+        twins = twin_masks(adj, alive)
         path = [start]
         on_path = 1 << start
 
@@ -124,7 +118,7 @@ def _longest_cycle_in_block(
                 if low & seen_classes:
                     continue
                 u = low.bit_length() - 1
-                seen_classes |= class_mask[u]
+                seen_classes |= twins[u]
                 path.append(u)
                 on_path |= low
                 aborted = rec(u)
@@ -146,23 +140,31 @@ def _cycle_bound(adj: tuple[int, ...], block: int, needed: int) -> int:
     """A number U such that every cycle of G[block] with at least `needed`
     vertices has at most U of them, so U < needed rules such cycles out.
 
-    U sums, over the open-twin classes T of G[block] with neighbourhood N
-    (within block), min(|T|, |N| - 1) if |T| + |N| < needed and min(|T|, |N|)
-    otherwise, never below 0.  Let C be a cycle with |C| >= needed.  T is
+    U sums over the classes of twin_partition(adj, block).  An open class
+    T of two or more with neighbourhood N (within block) adds
+    min(|T|, |N| - 1) if |T| + |N| < needed and min(|T|, |N|) otherwise,
+    never below 0.  Let C be a cycle with |C| >= needed.  T is
     independent, so both cycle edges at each vertex of C & T end in N, and
     N takes at most two cycle edges per vertex: 2|C & T| <= 2|C & N|.  With
     equality every cycle edge at C & N ends in T as well, so C alternates
     between T and N and lies inside T | N, which is impossible when
-    |T| + |N| < needed <= |C|; there |C & T| <= |N| - 1.  The classes
-    partition block, so the caps add up to a bound on |C|.  U <= |block|;
-    on the twin-kernel block of St2(n, 6, q) (K_7 with five dominators,
-    plus five attachment vertices) it gives 7 + 4 = 11 < 12.
+    |T| + |N| < needed <= |C|; there |C & T| <= |N| - 1.  Every other
+    vertex adds 1 if it has two or more neighbours in block, as a cycle
+    vertex does; for needed >= 3 that is also what the rule above gives a
+    class of one.  The classes partition block, so the contributions add
+    up to a bound on |C|.  U <= |block|; on the twin-kernel block of
+    St2(n, 6, q) (K_7 with five dominators, plus five attachment vertices)
+    it gives 7 + 4 = 11 < 12.
     """
     bound = 0
-    for hood, members in twin_classes(adj, block).items():
-        size, degree = members.bit_count(), hood.bit_count()
-        cap = degree if size + degree >= needed else max(degree - 1, 0)
-        bound += min(size, cap)
+    for members in twin_partition(adj, block):
+        size = len(members)
+        degree = (adj[members[0]] & block).bit_count()
+        if size > 1 and not (adj[members[0]] >> members[1]) & 1:  # open
+            cap = degree if size + degree >= needed else max(degree - 1, 0)
+            bound += min(size, cap)
+        elif degree >= 2:
+            bound += size  # closed twins share one degree
     return bound
 
 
@@ -183,7 +185,7 @@ def _longest_cycle(
         # _cycle_bound never exceeds the block size; the size test is cheaper
         if mask.bit_count() < needed or _cycle_bound(adj, mask, needed) < needed:
             continue
-        length, cycle = _longest_cycle_in_block(adj, mask, kernel.n, target, state)
+        length, cycle = _longest_cycle_in_block(adj, mask, target, state)
         if length > best_len:
             best_len, best_cycle = length, cycle
             if target is not None and length >= target:

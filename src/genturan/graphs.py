@@ -5,8 +5,16 @@ bitmask per vertex, so adjacency tests are single bit probes and
 neighborhood intersections are bitwise ANDs regardless of n (Python ints
 are arbitrary precision, so the same code path serves n > 64).
 
-Cliques are counted on the quotient of the graph by its twin partition
-(twin_partition: classes of equal open or equal closed neighborhoods).
+twin_partition is the one partition of a graph, or of an induced
+subgraph, into classes of twins (equal open or equal closed
+neighborhoods); the cycle search and its bound, canonical forms, the
+oracle's twin rule and the clique quotient all read it, and twin_masks
+gives each vertex its class as a mask.  twin_kernel keeps its own
+one-pass grouping by open neighborhood, as it is a reduction, not a
+partition: it drops the members of each open class beyond |N|, so every
+isolated vertex, and returns increasing labels.
+
+Cliques are counted on the quotient of the graph by its twin partition.
 Adjacency between two classes is all-or-nothing, since twins agree on
 every vertex outside their pair, so a K_r of the graph is a clique Q of
 the quotient with j_C >= 1 members taken from each class C of Q, the
@@ -176,61 +184,53 @@ def reach(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> int:
     return seen
 
 
-def twin_classes(adj: tuple[int, ...] | list[int], alive: int) -> dict[int, int]:
-    """The twin classes of the graph induced on alive, as a map from a
-    neighborhood within alive to the mask of the alive vertices that have it.
-
-    On open neighborhoods (adj as stored) the classes are sets of pairwise
-    non-adjacent twins; on closed neighborhoods (adj[v] | 1 << v) they are
-    cliques of adjacent twins.  Either way, swapping two members of a class
-    is an automorphism of the graph induced on alive."""
-    groups: dict[int, int] = {}
-    m = alive
-    while m:
-        low = m & -m
-        m ^= low
-        key = adj[low.bit_length() - 1] & alive
-        groups[key] = groups.get(key, 0) | low
-    return groups
-
-
-def twin_class_masks(adj: tuple[int, ...] | list[int], alive: int, n: int) -> list[int]:
-    """class_mask[v] = bitmask of v's class in twin_classes(adj, alive)
-    (0 for v outside alive)."""
-    class_mask = [0] * n
-    for members in twin_classes(adj, alive).values():
-        m = members
-        while m:
-            low = m & -m
-            m ^= low
-            class_mask[low.bit_length() - 1] = members
-    return class_mask
-
-
-def twin_partition(masks: tuple[int, ...] | list[int]) -> list[list[int]]:
+def twin_partition(
+    masks: tuple[int, ...] | list[int], alive: int | None = None
+) -> list[list[int]]:
     """The classes of twins (equal open or equal closed neighborhoods) of
-    the graph with adjacency masks masks, each as its increasing list of
-    vertices: first the open classes of two or more, then the closed ones,
-    singletons included, each kind by lowest member.
+    the graph with adjacency masks masks induced on the vertex mask alive
+    (None: every vertex), each as its increasing list of vertices: first
+    the open classes of two or more, then the closed ones, singletons
+    included, each kind by lowest member.  A vertex outside alive is in
+    no class.
 
-    No vertex has both an open and a closed twin (a closed twin x of v is
-    adjacent to every open twin u of v, as x is in N(v) = N(u), and then u
-    is in N[x] = N[v]), so the classes partition the vertices, and
-    swapping two members of one class is an automorphism.  Members are
-    collected as lists, not masks, so a class of m members costs O(m)."""
+    An open class is a set of pairwise non-adjacent twins, a closed one a
+    clique of adjacent twins.  No vertex has both an open and a closed
+    twin (a closed twin x of v is adjacent to every open twin u of v, as x
+    is in N(v) = N(u), and then u is in N[x] = N[v]), so the classes
+    partition alive, and swapping two members of one class is an
+    automorphism of the induced graph.  Members are collected as lists,
+    not masks, so a class of m members costs O(m)."""
+    if alive is None:  # range walks every vertex in half _iter_bits's time
+        vertices, alive = range(len(masks)), (1 << len(masks)) - 1
+    else:
+        vertices = _iter_bits(alive)
     open_twins: dict[int, list[int]] = {}
-    for v, m in enumerate(masks):
-        open_twins.setdefault(m, []).append(v)
+    for v in vertices:
+        open_twins.setdefault(masks[v] & alive, []).append(v)
     classes = []
     closed_twins: dict[int, list[int]] = {}
-    for members in open_twins.values():
+    for hood, members in open_twins.items():
         if len(members) > 1:
             classes.append(members)
         else:
             v = members[0]
-            closed_twins.setdefault(masks[v] | 1 << v, []).append(v)
+            closed_twins.setdefault(hood | 1 << v, []).append(v)
     classes += closed_twins.values()
     return classes
+
+
+def twin_masks(
+    masks: tuple[int, ...] | list[int], alive: int | None = None
+) -> list[int]:
+    """twins[v] = the mask of v's class in twin_partition(masks, alive),
+    0 for v outside alive."""
+    twins = [0] * len(masks)
+    for members in twin_partition(masks, alive):
+        class_mask = sum(1 << v for v in members)
+        for v in members:
+            twins[v] = class_mask
+    return twins
 
 
 def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:

@@ -72,6 +72,7 @@ from .graphs import (
     count_cliques,
     count_cliques_in_mask,
     reach,
+    twin_masks,
     twin_partition,
 )
 from .graph_io import graph6_masks, graph6_string, to_graph6
@@ -126,11 +127,7 @@ def canonical_encoding(graph: Graph) -> int:
     if n <= 1:
         return 0
     masks = graph.adjacency_masks
-    twins = [0] * n  # twins[v]: the mask of v's twin class
-    for members in twin_partition(masks):
-        class_mask = sum(1 << v for v in members)
-        for v in members:
-            twins[v] = class_mask
+    twins = twin_masks(masks)
     width = n * (n - 1) // 2
     best = -1
 
@@ -250,8 +247,9 @@ def _augmentations(
       gets degree |nbr| and every parent vertex keeps at least its degree,
       only |nbr| >= the parent's maximum degree is tested here; the
       callers run _keeps_new_vertex itself last, after cheaper tests;
-    * parent twin rule: within each class of twins of the parent, nbr
-      takes the lowest-labelled members (_twin_representative).
+    * parent twin rule: within each class of twins of the parent
+      (graphs.twin_partition), nbr takes the lowest-labelled members
+      (_takes_lowest_twins).
 
     A class C has a vertex v of largest key, and C - v is family-free
     (freeness is inherited by induced subgraphs), so it is a parent, and
@@ -266,7 +264,7 @@ def _augmentations(
     floor = max(degrees, default=0)
     classes = [sum(1 << v for v in c) for c in twin_partition(base) if len(c) > 1]
     for nbr in nbrs:
-        if nbr.bit_count() >= floor and _twin_representative(classes, nbr) == nbr:
+        if nbr.bit_count() >= floor and _takes_lowest_twins(classes, nbr):
             yield nbr
 
 
@@ -299,15 +297,14 @@ def _keeps_new_vertex(base: tuple[int, ...], degrees: list[int], nbr: int) -> bo
     return all(_deletion_key(masks, ext, v) <= own for v in ties)
 
 
-def _twin_representative(classes: list[int], nbr: int) -> int:
-    """nbr with its members of each twin class moved onto the
-    lowest-labelled members of that class (classes are disjoint masks)."""
+def _takes_lowest_twins(classes: list[int], nbr: int) -> bool:
+    """Whether nbr takes the lowest-labelled members of each class in
+    classes (disjoint masks): no member it misses lies below its highest
+    member of that class."""
     for members in classes:
-        take = members
-        for _ in range((members & ~nbr).bit_count()):
-            take ^= 1 << (take.bit_length() - 1)
-        nbr = nbr & ~members | take
-    return nbr
+        if members & ~nbr & ((1 << (nbr & members).bit_length()) - 1):
+            return False
+    return True
 
 
 def _extension_masks(base: tuple[int, ...], nbr: int) -> list[int]:

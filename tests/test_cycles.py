@@ -29,6 +29,7 @@ from conftest import (
     bowtie,
     cycle_graph,
     graphs,
+    graphs_with_planted_classes,
     graphs_with_twin_class,
     path_graph,
     random_graph,
@@ -135,7 +136,7 @@ def _unreduced_circumference(g: Graph) -> int:
         for mask in _raw_blocks(g)[0]:
             if mask.bit_count() >= 3:
                 length, _ = _longest_cycle_in_block(
-                    g.adjacency_masks, mask, g.n, None, _SearchState(None)
+                    g.adjacency_masks, mask, None, _SearchState(None)
                 )
                 best = max(best, length)
     return best
@@ -164,7 +165,14 @@ def _small_witnesses():
 
 class TestTwinKernel:
     @settings(max_examples=80, deadline=None)
-    @given(graphs_with_twin_class())
+    @given(
+        st.one_of(
+            graphs_with_twin_class(),
+            graphs_with_planted_classes(max_base=3, max_classes=2).filter(
+                lambda g: g.n <= 9
+            ),
+        )
+    )
     def test_planted_twins_against_enumeration(self, g):
         c = circumference(g)
         assert c == circumference_by_enumeration(g)
@@ -184,6 +192,26 @@ class TestTwinKernel:
             assert has_cycle_geq(g, c - 1) == (full >= c - 1)
             checked += 1
         assert checked > 40
+
+    def test_closed_twins_are_tried_once(self):
+        # K_6 on 0..5 (a closed class), x and y joined to all of it, and
+        # two x-y paths outside it: x p y and x q r y.  The longest cycle
+        # runs through K_6 and x q r y (10 vertices): a cycle through all
+        # 11 needs both paths, and they close x p y r q x without K_6.  The
+        # bound leaves room for 11, and proving there is none takes 9,794
+        # expansions when every member of K_6 is tried, and 39 when one is
+        m = 6
+        x, y, p, q, r = range(m, m + 5)
+        edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        edges += [(u, w) for w in (x, y) for u in range(m)]
+        edges += [(x, p), (p, y), (x, q), (q, r), (r, y)]
+        g = Graph(m + 5, edges)
+        perm = list(range(g.n))
+        random.Random(3).shuffle(perm)
+        for h in (g, g.relabeled(perm)):
+            assert find_cycle_geq(h, 11, budget=500) is None
+            assert circumference(h, budget=500) == 10
+            assert _is_cycle(h, find_cycle_geq(h, 10))
 
     def test_extremal_odd_5000_keeps_21_vertices(self):
         # H(4985, 7, 3) keeps its 3 dominating vertices and 3 of the 4982

@@ -16,6 +16,7 @@ from genturan.graphs import (
     count_cliques_in_mask,
     reach,
     twin_kernel,
+    twin_masks,
     twin_partition,
 )
 
@@ -166,10 +167,33 @@ class TestTwinPartition:
             return masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
 
         classes = twin_partition(masks)
+        assert twin_partition(masks, (1 << g.n) - 1) == classes
         assert sorted(v for members in classes for v in members) == list(range(g.n))
         for members in classes:
             assert members == sorted(members)
             assert [u for u in range(g.n) if twins(members[0], u)] == members
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_classes_of_the_induced_twin_relation(self, data):
+        g = data.draw(st.one_of(graphs(max_n=9), graphs_with_planted_classes()))
+        alive = data.draw(st.integers(0, (1 << g.n) - 1))
+        masks = g.adjacency_masks
+        inside = [v for v in range(g.n) if (alive >> v) & 1]
+
+        def twins(u, v):
+            return (masks[u] & alive) & ~(1 << v) == (masks[v] & alive) & ~(1 << u)
+
+        classes = twin_partition(masks, alive)
+        assert sorted(v for members in classes for v in members) == inside
+        for members in classes:
+            assert members == sorted(members)
+            assert [u for u in inside if twins(members[0], u)] == members
+        expected = [0] * g.n
+        for members in classes:
+            for v in members:
+                expected[v] = sum(1 << u for u in members)
+        assert twin_masks(masks, alive) == expected
 
 
 class TestCountCliques:

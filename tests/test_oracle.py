@@ -36,7 +36,7 @@ from genturan.oracle import (
     _free_extension_test,
     _grow_classes,
     _keeps_new_vertex,
-    _twin_representative,
+    _takes_lowest_twins,
     _worker_count,
     canonical_encoding,
     graph_from_encoding,
@@ -268,9 +268,21 @@ class TestAugmentationFilters:
             for c in twin_partition(parent.adjacency_masks)
             if len(c) > 1
         ]
-        rep = _twin_representative(classes, nbr)
+
+        def representative(nbr):
+            # nbr with its members of each class moved onto the lowest ones
+            for members in classes:
+                taken = [v for v in range(parent.n) if (members >> v) & 1]
+                taken = taken[: (members & nbr).bit_count()]
+                nbr = nbr & ~members | sum(1 << v for v in taken)
+            return nbr
+
+        rep = representative(nbr)
         assert rep.bit_count() == nbr.bit_count()
-        assert _twin_representative(classes, rep) == rep
+        for other in range(1 << parent.n):
+            fixed = representative(other) == other
+            assert _takes_lowest_twins(classes, other) == fixed
+        assert _takes_lowest_twins(classes, rep)
         assert canonical_encoding(_extension(parent, rep)) == canonical_encoding(
             _extension(parent, nbr)
         )
