@@ -141,30 +141,30 @@ def _cycle_bound(adj: tuple[int, ...], block: int, needed: int) -> int:
     vertices has at most U of them, so U < needed rules such cycles out.
 
     U sums over the classes of twin_partition(adj, block).  An open class
-    T of two or more with neighbourhood N (within block) adds
-    min(|T|, |N| - 1) if |T| + |N| < needed and min(|T|, |N|) otherwise,
-    never below 0.  Let C be a cycle with |C| >= needed.  T is
-    independent, so both cycle edges at each vertex of C & T end in N, and
-    N takes at most two cycle edges per vertex: 2|C & T| <= 2|C & N|.  With
-    equality every cycle edge at C & N ends in T as well, so C alternates
-    between T and N and lies inside T | N, which is impossible when
-    |T| + |N| < needed <= |C|; there |C & T| <= |N| - 1.  Every other
-    vertex adds 1 if it has two or more neighbours in block, as a cycle
-    vertex does; for needed >= 3 that is also what the rule above gives a
-    class of one.  The classes partition block, so the contributions add
-    up to a bound on |C|.  U <= |block|; on the twin-kernel block of
-    St2(n, 6, q) (K_7 with five dominators, plus five attachment vertices)
-    it gives 7 + 4 = 11 < 12.
+    T with neighbourhood N (within block) adds min(|T|, |N| - 1) if
+    |T| + |N| < needed and min(|T|, |N|) otherwise, never below 0.  Let C
+    be a cycle with |C| >= needed.  T is independent, so both cycle edges
+    at each vertex of C & T end in N, and N takes at most two cycle edges
+    per vertex: 2|C & T| <= 2|C & N|.  With equality every cycle edge at
+    C & N ends in T as well, so C alternates between T and N and lies
+    inside T | N, which is impossible when |T| + |N| < needed <= |C|;
+    there |C & T| <= |N| - 1.  Every member of a closed class adds 1 if it
+    has two or more neighbours in block, as a cycle vertex does; for
+    needed >= 3 that is also what the rule above gives a class of one.
+    The classes partition block, so the contributions add up to a bound on
+    |C|.  U <= |block|; on the twin-kernel block of St2(n, 6, q) (K_7 with
+    five dominators, plus five attachment vertices) it gives 7 + 4 = 11,
+    one short of 12.
     """
+    open_classes, closed_classes = twin_partition(adj, block)
     bound = 0
-    for members in twin_partition(adj, block):
-        size = len(members)
+    for members in open_classes:
         degree = (adj[members[0]] & block).bit_count()
-        if size > 1 and not (adj[members[0]] >> members[1]) & 1:  # open
-            cap = degree if size + degree >= needed else max(degree - 1, 0)
-            bound += min(size, cap)
-        elif degree >= 2:
-            bound += size  # closed twins share one degree
+        cap = degree if len(members) + degree >= needed else max(degree - 1, 0)
+        bound += min(len(members), cap)
+    for members in closed_classes:
+        if (adj[members[0]] & block).bit_count() >= 2:
+            bound += len(members)  # closed twins share one degree
     return bound
 
 

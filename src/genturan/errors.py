@@ -22,7 +22,7 @@ class SizeLimitError(ParameterError):
 
 
 class OracleSizeError(SizeLimitError):
-    """The exhaustive oracle was asked for more vertices than it enumerates."""
+    """An oracle query would pass its budget of one-vertex extensions."""
 
 
 class BudgetExceededError(RuntimeError):

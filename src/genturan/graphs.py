@@ -7,12 +7,11 @@ are arbitrary precision, so the same code path serves n > 64).
 
 twin_partition is the one partition of a graph, or of an induced
 subgraph, into classes of twins (equal open or equal closed
-neighborhoods); the cycle search and its bound, canonical forms, the
-oracle's twin rule and the clique quotient all read it, and twin_masks
-gives each vertex its class as a mask.  twin_kernel keeps its own
-one-pass grouping by open neighborhood, as it is a reduction, not a
-partition: it drops the members of each open class beyond |N|, so every
-isolated vertex, and returns increasing labels.
+neighborhoods), and the one place that tells open classes from closed
+ones; the cycle search and its bound, canonical forms and the oracle's
+twin rule read it, and twin_masks gives each vertex its class as a mask.
+The whole-graph partition is cached on the graph, and the twin kernel
+and the clique quotient are read off that one cached result.
 
 Cliques are counted on the quotient of the graph by its twin partition.
 Adjacency between two classes is all-or-nothing, since twins agree on
@@ -26,8 +25,7 @@ cliques and open classes, and shrink to a handful of classes.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import ParameterError
@@ -38,12 +36,12 @@ class Graph:
 
     Immutable after construction, but for three caches, each filled on
     first use and a function of the adjacency alone: twin_kernel's kernel,
-    clique_quotient's quotient and maximum_matching_edges's matching.
+    the whole-graph twin_partition and maximum_matching_edges's matching.
     Equality and hashing ignore them.  Graphs are values here, so
     instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "_adj", "_num_edges", "_kernel", "_quotient", "_matching")
+    __slots__ = ("n", "_adj", "_num_edges", "_kernel", "_twins", "_matching")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -59,7 +57,7 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._num_edges = sum(m.bit_count() for m in adj) // 2
-        self._kernel = self._quotient = self._matching = None
+        self._kernel = self._twins = self._matching = None
 
     @classmethod
     def from_adjacency_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -84,7 +82,7 @@ class Graph:
         g.n = len(masks)
         g._adj = tuple(masks)
         g._num_edges = sum(m.bit_count() for m in masks) // 2
-        g._kernel = g._quotient = g._matching = None
+        g._kernel = g._twins = g._matching = None
         return g
 
     @classmethod
@@ -186,21 +184,21 @@ def reach(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> int:
 
 def twin_partition(
     masks: tuple[int, ...] | list[int], alive: int | None = None
-) -> list[list[int]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """The classes of twins (equal open or equal closed neighborhoods) of
     the graph with adjacency masks masks induced on the vertex mask alive
-    (None: every vertex), each as its increasing list of vertices: first
-    the open classes of two or more, then the closed ones, singletons
-    included, each kind by lowest member.  A vertex outside alive is in
-    no class.
+    (None: every vertex), as (open_classes, closed_classes): each class is
+    its increasing list of vertices, and each kind is ordered by lowest
+    member.  An open class is two or more pairwise non-adjacent twins (an
+    edge uv would put v in N(u) = N(v)); a closed class is a clique of
+    twins, singletons included.  A vertex outside alive is in no class.
 
-    An open class is a set of pairwise non-adjacent twins, a closed one a
-    clique of adjacent twins.  No vertex has both an open and a closed
-    twin (a closed twin x of v is adjacent to every open twin u of v, as x
-    is in N(v) = N(u), and then u is in N[x] = N[v]), so the classes
-    partition alive, and swapping two members of one class is an
-    automorphism of the induced graph.  Members are collected as lists,
-    not masks, so a class of m members costs O(m)."""
+    No vertex has both an open and a closed twin (a closed twin x of v is
+    adjacent to every open twin u of v, as x is in N(v) = N(u), and then u
+    is in N[x] = N[v]), so the classes partition alive, and swapping two
+    members of one class is an automorphism of the induced graph.  Members
+    are collected as lists, not masks, so a class of m members costs
+    O(m)."""
     if alive is None:  # range walks every vertex in half _iter_bits's time
         vertices, alive = range(len(masks)), (1 << len(masks)) - 1
     else:
@@ -208,16 +206,15 @@ def twin_partition(
     open_twins: dict[int, list[int]] = {}
     for v in vertices:
         open_twins.setdefault(masks[v] & alive, []).append(v)
-    classes = []
+    open_classes = []
     closed_twins: dict[int, list[int]] = {}
     for hood, members in open_twins.items():
         if len(members) > 1:
-            classes.append(members)
+            open_classes.append(members)
         else:
             v = members[0]
             closed_twins.setdefault(hood | 1 << v, []).append(v)
-    classes += closed_twins.values()
-    return classes
+    return open_classes, list(closed_twins.values())
 
 
 def twin_masks(
@@ -226,43 +223,48 @@ def twin_masks(
     """twins[v] = the mask of v's class in twin_partition(masks, alive),
     0 for v outside alive."""
     twins = [0] * len(masks)
-    for members in twin_partition(masks, alive):
+    for members in chain(*twin_partition(masks, alive)):
         class_mask = sum(1 << v for v in members)
         for v in members:
             twins[v] = class_mask
     return twins
 
 
+def _graph_twins(graph: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """twin_partition of the whole graph, cached on graph."""
+    if graph._twins is None:
+        graph._twins = twin_partition(graph._adj)
+    return graph._twins
+
+
 def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     """The twin kernel of graph and its labels: kernel vertex i is vertex
     labels[i] of graph, and labels is increasing.
 
-    The kernel is induced by the |N| lowest-labelled members of every class
-    of open twins (vertices with one neighborhood N), relabelled in order;
-    it is graph itself when that drops nothing, and is cached on graph, as
-    a family check asks for it once per constraint.
+    The kernel is induced by the |N| lowest members of each open class of
+    twin_partition (twins with one neighborhood N) and by each closed class
+    with a neighbour, relabelled in order; it is graph itself when that
+    drops nothing, and is cached on graph, as a family check asks for it
+    once per constraint.
 
     It keeps the circumference and the matching number, and its cycles and
-    matchings are those of graph under labels.  Class members are pairwise
-    non-adjacent (an edge uv would put v in N(u) = N(v)), so every edge at
-    a member ends in N.  A cycle has at most 2|N| edges at N and uses two
-    at each member on it; a matching has at most |N| edges at N and uses
-    one at each member it covers: either uses at most |N| members of the
-    class.  A permutation of a class is an automorphism fixing every vertex
-    outside it, so, applied one class after another, these move the used
-    members onto the kept ones (neighborhood diversity; Lampis, 2012).
+    matchings are those of graph under labels.  Open twins are pairwise
+    non-adjacent, so every edge at a member ends in N.  A cycle has at most
+    2|N| edges at N and uses two at each member on it; a matching has at
+    most |N| edges at N and uses one at each member it covers: either uses
+    at most |N| members of the class.  A permutation of a class is an
+    automorphism fixing every vertex outside it, so, applied one class
+    after another, these move the used members onto the kept ones
+    (neighborhood diversity; Lampis, 2012).
     """
     if graph._kernel is not None:
         kernel, labels = graph._kernel
         return kernel or graph, labels
     adj = graph._adj
-    used: dict[int, int] = {}
-    labels = []
-    for v, key in enumerate(adj):
-        k = used.get(key, 0)
-        if k < key.bit_count():
-            labels.append(v)
-        used[key] = k + 1
+    open_classes, closed_classes = _graph_twins(graph)
+    labels = [v for c in open_classes for v in c[: adj[c[0]].bit_count()]]
+    labels += [v for c in closed_classes if adj[c[0]] for v in c]
+    labels.sort()
     kernel = None  # stands for graph itself, so the cache is no reference cycle
     if len(labels) < graph.n:
         keep = sum(1 << v for v in labels)
@@ -280,34 +282,29 @@ def clique_quotient(graph: Graph) -> tuple[int, dict[int, list[int]]]:
     so two classes are joined iff their representatives are; weights maps
     the representative of each class of two or more to its row, in which
     entry j - 1 counts the ways to take j members of the class into a
-    clique: C(|C|, j) for a closed class C, and |T| for j = 1 only for an
-    open class T.  A class missing from weights is one vertex.  Cached on
-    graph, as count_cliques asks for it once per r."""
-    if graph._quotient is None:
-        adj = graph._adj
-        reps = 0
-        weights = {}
-        for members in twin_partition(adj):
-            v = members[0]
-            reps |= 1 << v
-            size = len(members)
-            if size == 1:
-                continue
-            if (adj[v] >> members[1]) & 1:
-                weights[v] = [comb(size, j) for j in range(1, size + 1)]
-            else:
-                weights[v] = [size]
-        graph._quotient = (reps, weights)
-    return graph._quotient
+    clique: |T| for j = 1 only for an open class T, and C(|C|, j) for a
+    closed class C.  A class missing from weights is one vertex.  Read off
+    the twin partition cached on graph."""
+    open_classes, closed_classes = _graph_twins(graph)
+    reps = sum(1 << c[0] for c in chain(open_classes, closed_classes))
+    weights = {c[0]: [len(c)] for c in open_classes}
+    for c in closed_classes:
+        if len(c) > 1:
+            row = [len(c)]  # C(|C|, j) from C(|C|, j - 1), exactly
+            for j in range(2, len(c) + 1):
+                row.append(row[-1] * (len(c) - j + 1) // j)
+            weights[c[0]] = row
+    return reps, weights
 
 
 def count_cliques(graph: Graph, r: int) -> int:
     """Number of r-vertex subsets of `graph` that induce a complete subgraph.
 
     N_1 = n and N_2 = the edge count; r larger than n gives 0.  For r >= 3
-    it sums, over the cliques Q of the clique_quotient, the product over
-    the classes C of Q of the ways to take j_C members of C, over the j_C
-    >= 1 that sum to r (see the module docstring).
+    it sums, over the cliques Q of the clique_quotient (every r reads the
+    one twin partition cached on graph), the product over the classes C of
+    Q of the ways to take j_C members of C, over the j_C >= 1 that sum to
+    r (see the module docstring).
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")

@@ -2,9 +2,9 @@
 
 The primary matching routine is an augmenting-path algorithm with blossom
 contraction (exact for general graphs).  A dynamic program over vertex
-subsets serves as an independent oracle for n <= 12, and a bounded
-branching search answers "is there a matching of size t among these
-vertices" on a vertex bitmask.
+subsets serves as an independent oracle for n <= 12.  has_matching_of_size
+(t disjoint edges on a vertex bitmask, by branching) has no caller in the
+package; it is kept only because perfbench/tracer.py binds it.
 
 A matching bound nu(G) <= s always has a short certificate: a vertex set
 X with |X| + sum_i floor(|C_i|/2) <= s over the components C_i of G - X.

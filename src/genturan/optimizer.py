@@ -43,9 +43,9 @@ class FeasibleTriple:
 
 def _check_even_domain(k: int, s: int, r: int = 2) -> None:
     """The even case's domain, checked in one order by every entry point
-    (ex_even through solve_even, extremal_even_witness, enumerate_feasible),
-    so that one fault gets one message: r >= 2, k >= 3 (at k = 2 the y
-    count is unbounded), k >= r, s >= k - 1."""
+    (ex_even through solve_even, extremal_even_witness, maximize_g,
+    enumerate_feasible), so that one fault gets one message: r >= 2,
+    k >= 3 (at k = 2 the y count is unbounded), k >= r, s >= k - 1."""
     if r < 2:
         raise ParameterError(f"r must be >= 2, got {r}")
     if k < 3:
@@ -88,8 +88,7 @@ def maximize_g(k: int, r: int, s: int, family: str) -> tuple[int, FeasibleTriple
     first maximum, and enumerate_feasible lists in that order.  An empty
     feasible set (family T1 with s = k-1) is rejected.
     """
-    if r < 2:
-        raise ParameterError(f"r must be >= 2, got {r}")
+    _check_even_domain(k, s, r)
     triples = enumerate_feasible(k, s, family)
     if not triples:
         raise ParameterError(

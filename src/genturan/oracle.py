@@ -61,6 +61,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import OracleSizeError, ParameterError, WitnessOrderError
@@ -247,9 +248,9 @@ def _augmentations(
       gets degree |nbr| and every parent vertex keeps at least its degree,
       only |nbr| >= the parent's maximum degree is tested here; the
       callers run _keeps_new_vertex itself last, after cheaper tests;
-    * parent twin rule: within each class of twins of the parent
-      (graphs.twin_partition), nbr takes the lowest-labelled members
-      (_takes_lowest_twins).
+    * parent twin rule: within each open or closed class of twins of the
+      parent (graphs.twin_partition), nbr takes the lowest-labelled
+      members (_takes_lowest_twins).
 
     A class C has a vertex v of largest key, and C - v is family-free
     (freeness is inherited by induced subgraphs), so it is a parent, and
@@ -262,7 +263,8 @@ def _augmentations(
     only drops extensions, so their order does not change the result.
     """
     floor = max(degrees, default=0)
-    classes = [sum(1 << v for v in c) for c in twin_partition(base) if len(c) > 1]
+    twins = chain(*twin_partition(base))
+    classes = [sum(1 << v for v in c) for c in twins if len(c) > 1]
     for nbr in nbrs:
         if nbr.bit_count() >= floor and _takes_lowest_twins(classes, nbr):
             yield nbr

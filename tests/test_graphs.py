@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,8 +140,10 @@ class TestReach:
 
 
 class TestTwinKernel:
-    @settings(max_examples=80, deadline=None)
-    @given(graphs_with_twin_class())
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(
+        graphs_with_twin_class(), graphs_with_planted_classes(), graphs(max_n=9)
+    ))
     def test_induced_on_the_lowest_class_members(self, g):
         kernel, labels = twin_kernel(g)
         assert list(labels) == sorted(set(labels))
@@ -157,6 +162,18 @@ class TestTwinKernel:
         assert twin_kernel(g) == (g, tuple(range(6)))
 
 
+def _assert_kinds(g, open_classes, closed_classes):
+    """Open classes are two or more pairwise non-adjacent vertices, closed
+    ones cliques; each kind is ordered by lowest member."""
+    for members in open_classes:
+        assert len(members) >= 2
+        assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))
+    for members in closed_classes:
+        assert all(g.has_edge(u, v) for u, v in combinations(members, 2))
+    for kind in (open_classes, closed_classes):
+        assert [c[0] for c in kind] == sorted(c[0] for c in kind)
+
+
 class TestTwinPartition:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(graphs(max_n=9), graphs_with_planted_classes()))
@@ -166,8 +183,10 @@ class TestTwinPartition:
         def twins(u, v):
             return masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
 
-        classes = twin_partition(masks)
-        assert twin_partition(masks, (1 << g.n) - 1) == classes
+        open_classes, closed_classes = twin_partition(masks)
+        assert twin_partition(masks, (1 << g.n) - 1) == (open_classes, closed_classes)
+        _assert_kinds(g, open_classes, closed_classes)
+        classes = open_classes + closed_classes
         assert sorted(v for members in classes for v in members) == list(range(g.n))
         for members in classes:
             assert members == sorted(members)
@@ -184,7 +203,9 @@ class TestTwinPartition:
         def twins(u, v):
             return (masks[u] & alive) & ~(1 << v) == (masks[v] & alive) & ~(1 << u)
 
-        classes = twin_partition(masks, alive)
+        open_classes, closed_classes = twin_partition(masks, alive)
+        _assert_kinds(g, open_classes, closed_classes)
+        classes = open_classes + closed_classes
         assert sorted(v for members in classes for v in members) == inside
         for members in classes:
             assert members == sorted(members)
@@ -201,6 +222,10 @@ class TestCountCliques:
         k4 = Graph.complete(4)
         assert count_cliques(k4, 2) == 6
         assert [count_cliques(k4, r) for r in (1, 2, 3, 4, 5)] == [4, 6, 4, 1, 0]
+        k40 = Graph.complete(40)  # one closed class, larger than the planted ones
+        assert [count_cliques(k40, r) for r in range(1, 42)] == [
+            comb(40, r) for r in range(1, 42)
+        ]
 
     def test_n1_is_order_n2_is_size(self):
         g = bowtie()

@@ -88,6 +88,11 @@ class TestMaximizeG:
         value2, _ = maximize_g(3, 2, 5, "T2")
         assert value2 == 0
 
+    def test_checks_the_even_domain(self):
+        # the same fault as ex_even(30, 3, 5, 5): k = 3 < r = 5
+        with pytest.raises(ParameterError, match="k >= r"):
+            maximize_g(3, 5, 5, "T1")
+
     def test_t2_max_dominates_t1_max(self):
         for k in range(3, 6):
             for r in range(2, k + 1):
@@ -167,6 +172,7 @@ class TestExtremalEvenWitness:
             lambda: ex_even(30, k, s, r),
             lambda: solve_even(30, k, r, s),
             lambda: extremal_even_witness(30, k, r, s),
+            lambda: maximize_g(k, r, s, "T1"),
         ):
             with pytest.raises(ParameterError) as info:
                 call()

@@ -2,7 +2,7 @@ import json
 import os
 import random
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from genturan.graphs import twin_partition
 from genturan.matching import max_matching_by_enumeration
 from genturan import oracle as oracle_module
 from genturan.oracle import (
+    _augmentations,
     _deletion_key,
     _free_extension_test,
     _grow_classes,
@@ -259,13 +260,21 @@ class TestAugmentationFilters:
         expected = keys[parent.n] == max(keys)
         assert _keeps_new_vertex(parent.adjacency_masks, _degrees(parent), nbr) == expected
 
+    def test_twin_rule_covers_open_and_closed_classes(self):
+        # K_2 plus two isolated vertices: closed class {0, 1}, open class {2, 3};
+        # nbr takes {}, {0} or {0, 1} of the one and {}, {2} or {2, 3} of the
+        # other, and at least one vertex (the parent's maximum degree)
+        base = Graph(4, [(0, 1)]).adjacency_masks
+        kept = list(_augmentations(base, [1, 1, 0, 0], range(1 << 4)))
+        assert kept == [0b0001, 0b0011, 0b0100, 0b0101, 0b0111, 0b1100, 0b1101, 0b1111]
+
     @settings(max_examples=200, deadline=None)
     @given(_parents_and_neighbourhoods())
     def test_twin_representative_is_isomorphic(self, case):
         parent, nbr = case
         classes = [
             sum(1 << v for v in c)
-            for c in twin_partition(parent.adjacency_masks)
+            for c in chain(*twin_partition(parent.adjacency_masks))
             if len(c) > 1
         ]
 
