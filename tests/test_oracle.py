@@ -28,7 +28,7 @@ from genturan import (
 )
 
 from genturan.cycles import circumference_by_enumeration
-from genturan.graphs import twin_partition
+from genturan.graphs import twin_masks, twin_partition
 from genturan.matching import max_matching_by_enumeration
 from genturan import oracle as oracle_module
 from genturan.oracle import (
@@ -49,6 +49,60 @@ from conftest import graphs, random_graph
 def _minimum_by_permutation_scan(g: Graph) -> str:
     """Independent oracle: the least graph6 string over all n! relabelings."""
     return min(to_graph6(g.relabeled(list(p))) for p in permutations(range(g.n)))
+
+
+def _minimum_by_code_search(g: Graph) -> int:
+    """Reference for canonical_encoding: the same minimum-code search with
+    the twin rule and the prefix cut, over a list of (vertex, code) pairs
+    rebuilt at every node instead of an ordered partition into cells."""
+    n = g.n
+    if n <= 1:
+        return 0
+    masks = g.adjacency_masks
+    twins = twin_masks(masks)
+    width = n * (n - 1) // 2
+    best = -1
+
+    def rec(j: int, prefix: int, codes: list[tuple[int, int]]) -> None:
+        # codes: (vertex, code) for the unplaced vertices, by vertex label
+        nonlocal best
+        low_code = min(code for _, code in codes)
+        prefix = (prefix << j) | low_code
+        if best >= 0 and prefix > best >> (width - j * (j + 1) // 2):
+            return
+        if len(codes) == 1:
+            best = prefix
+            return
+        tried = 0
+        for v, code in codes:
+            if code != low_code or (tried >> v) & 1:
+                continue
+            tried |= twins[v]
+            mask_v = masks[v]
+            rec(
+                j + 1,
+                prefix,
+                [(u, code_u << 1 | (mask_v >> u) & 1) for u, code_u in codes if u != v],
+            )
+
+    rec(0, 0, [(v, 0) for v in range(n)])
+    return best
+
+
+def _sparse_twin_free_graphs() -> list[Graph]:
+    """Cycles and paths up to 12 vertices, the Petersen graph and K_{3,3}
+    minus a perfect matching: twin-free and sparse, so their searches reach
+    the most cells and discrete partitions."""
+    out = []
+    for n in range(3, 13):
+        out.append(Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+    for n in range(1, 13):
+        out.append(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    out.append(Graph(10, outer + inner + [(i, i + 5) for i in range(5)]))
+    out.append(Graph(6, [(a, b) for a in range(3) for b in range(3, 6) if b != a + 3]))
+    return out
 
 
 @st.composite
@@ -145,6 +199,39 @@ class TestCanonicalForm:
             assert canonical_encoding(g.relabeled(perm)) == key
             keys.add(key)
         assert len(keys) == 1044
+
+    def test_every_small_graph_against_code_search(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+                assert canonical_encoding(g) == _minimum_by_code_search(g)
+
+    def test_random_graphs_against_code_search(self):
+        rng = random.Random(19)
+        for n in range(6, 11):
+            for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for _ in range(6):
+                    g = random_graph(rng, n, density)
+                    assert canonical_encoding(g) == _minimum_by_code_search(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graphs_with_twin_classes(max_n=10))
+    def test_twin_classes_against_code_search(self, g):
+        assert canonical_encoding(g) == _minimum_by_code_search(g)
+
+    def test_sparse_twin_free_graphs_against_code_search(self):
+        rng = random.Random(23)
+        for g in _sparse_twin_free_graphs():
+            key = canonical_encoding(g)
+            assert key == _minimum_by_code_search(g)
+            canon = graph_from_encoding(key, g.n)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = g.relabeled(perm)
+                assert canonical_encoding(h) == key
+                assert canonical_graph(h) == canon
 
     def test_encoding_is_the_canonical_graph6_body(self):
         rng = random.Random(4)
