@@ -29,16 +29,18 @@ parent.  _augmentations shows that they lose no class; the
 canonical-form set still removes the duplicates they let through.  Every
 filter only drops extensions, so they run cheapest first.
 
-brute_force_ex grows the classes to n - 1 vertices and streams the
-one-vertex extensions of each of them that pass the filters, without
-keeping the last level.  The K_r count of an extension is the parent's
-count plus the (r-1)-cliques in the new vertex's neighbourhood; an
-extension below the best count seen so far is dropped before its family
-test, a parent's test is built only once one of its extensions reaches
-that count, and only the family-free extensions that reach it are
-canonicalised.  Parents are split over
-processes for jobs > 1 and the results merged as sets, so maxima, witness
-sets and the examined counter are identical regardless of parallelism.
+One loop, _new_classes, extends a list of parents.  It may count K_r:
+the K_r count of an extension is the parent's count plus the
+(r-1)-cliques in the new vertex's neighbourhood, an extension below the
+best count seen so far is dropped before its family test, a parent's test
+is built only once one of its extensions reaches that count, and only the
+family-free extensions that reach it are canonicalised.  Uncounted, every
+extension ties and every class is kept.  _grow_classes runs it uncounted
+on each level; brute_force_ex runs it counted on the classes on n - 1
+vertices, without keeping the last level.  For jobs > 1 brute_force_ex
+splits those parents over processes and merges the canonical forms as
+sets, so maxima, witness sets and the examined counter are identical
+regardless of parallelism; only the witnesses reported become graph6.
 
 Witnesses are reported in canonical form: the lexicographically minimal
 adjacency bit encoding over all vertex permutations, which is also the
@@ -224,25 +226,57 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     order, and the one-vertex extensions tried to grow them (the filtered
     ones included).
 
-    Each level canonicalises only the extensions that pass, in this
-    order, the cheap filters of _augmentations, the parent's family test
-    (_free_extension_test, built once per parent) and _keeps_new_vertex,
-    and deduplicates them by canonical form.  The filters lose no class.
-    Each level is _charge'd first."""
+    Each level is _charge'd first, then grown from the one below by
+    _new_classes with nothing counted, which keeps every class."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
         tried = _charge(tried, len(level), size)
-        seen: set[int] = set()
-        for g in level:
-            base = g.adjacency_masks
-            degrees = [m.bit_count() for m in base]
-            free = _free_extension_test(g, family)
-            for nbr in _augmentations(base, degrees, range(1 << (size - 1))):
-                if free(nbr) and _keeps_new_vertex(base, degrees, nbr):
-                    seen.add(canonical_encoding(_extend(base, nbr)))
-        level = [graph_from_encoding(key, size) for key in sorted(seen)]
+        _, found = _new_classes(level, family, None)
+        level = [graph_from_encoding(key, size) for key in sorted(found)]
     return level, tried
+
+
+def _new_classes(
+    parents: list[Graph], family: ForbiddenFamily, r: int | None
+) -> tuple[int, set[int]]:
+    """The largest K_r count over the family-free one-vertex extensions of
+    parents, and the canonical encodings of the extensions that reach it.
+    With r None nothing is counted: every extension ties at 0 and every
+    class is returned.
+
+    Each parent's neighbourhoods are walked from the largest down, so the
+    best count rises early, and each passes, cheapest first, the filters of
+    _augmentations, the count cut (below the best count so far), the
+    parent's family test (_free_extension_test, built on the first
+    extension that passes the cut, so a parent none of whose extensions
+    reaches the count pays for no test) and _keeps_new_vertex; only the
+    extensions left are canonicalised.  The filters lose no class.  When
+    the parents are split over processes, a class C is found by the
+    process holding the parent C - v that the argument of _augmentations
+    names."""
+    best = -1
+    found: set[int] = set()
+    for parent in parents:
+        base = parent.adjacency_masks
+        degrees = [m.bit_count() for m in base]
+        inherited = 0 if r is None else count_cliques(parent, r)
+        free = None
+        for nbr in _augmentations(base, degrees, range((1 << parent.n) - 1, -1, -1)):
+            count = inherited
+            if r is not None:
+                count += count_cliques_in_mask(base, nbr, r - 1)
+                if count < best:
+                    continue
+            if free is None:
+                free = _free_extension_test(parent, family)
+            if not (free(nbr) and _keeps_new_vertex(base, degrees, nbr)):
+                continue
+            if count > best:
+                best = count
+                found.clear()
+            found.add(canonical_encoding(Graph._trusted(_extension_masks(base, nbr))))
+    return best, found
 
 
 def _augmentations(
@@ -256,7 +290,7 @@ def _augmentations(
       deletion key of the extension, ties kept (_keeps_new_vertex).  As w
       gets degree |nbr| and every parent vertex keeps at least its degree,
       only |nbr| >= the parent's maximum degree is tested here; the
-      callers run _keeps_new_vertex itself last, after cheaper tests;
+      caller runs _keeps_new_vertex itself last, after cheaper tests;
     * parent twin rule: within each open or closed class of twins of the
       parent (graphs.twin_partition), nbr takes the lowest-labelled
       members (_takes_lowest_twins).
@@ -325,12 +359,6 @@ def _extension_masks(base: tuple[int, ...], nbr: int) -> list[int]:
     masks = [m | new_bit if (nbr >> v) & 1 else m for v, m in enumerate(base)]
     masks.append(nbr)
     return masks
-
-
-def _extend(base: tuple[int, ...], nbr: int) -> Graph:
-    """The graph with the _extension_masks of base and nbr.  Symmetric by
-    construction, so built without validation."""
-    return Graph._trusted(_extension_masks(base, nbr))
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +510,14 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(
-                    pool.map(_best_extensions, shares, [family] * workers)
+                    pool.map(_new_classes, shares, [family] * workers, [r] * workers)
                 )
         else:
-            results = [_best_extensions(shares[0], family)]
-        best = max(local_best for local_best, _ in results)
-        witnesses = sorted(
-            {g6 for local_best, found in results if local_best == best for g6 in found}
-        )[:_WITNESS_CAP]
+            results = [_new_classes(shares[0], family, r)]
+        best = max(top for top, _ in results)
+        keys = set().union(*(found for top, found in results if top == best))
+        # for one n, graph6 strings sort as their bodies do
+        witnesses = [graph6_string(n, key) for key in sorted(keys)[:_WITNESS_CAP]]
     return OracleResult(
         n=n,
         family=family,
@@ -498,45 +526,6 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
         examined=examined,
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
-
-
-def _best_extensions(
-    parents: list[Graph], family: ForbiddenFamily
-) -> tuple[int, list[str]]:
-    """The largest K_r count over the family-free one-vertex extensions of
-    parents, and the least _WITNESS_CAP canonical graph6 strings of the
-    extensions that reach it.
-
-    The extensions that pass the cheap filters of _augmentations are
-    counted; those that reach the best count so far are tested by the
-    parent's family test (_free_extension_test, built on the first such
-    extension, so a parent none of whose extensions reaches the count
-    pays for no test) and then by _keeps_new_vertex, and only the ones
-    left are canonicalised.  The filters lose no class.  When the parents
-    are split over processes, a class C is found by the process holding
-    the parent C - v that the argument of _augmentations names."""
-    r = family.clique_order
-    best = -1
-    maximisers: set[str] = set()
-    for parent in parents:
-        base = parent.adjacency_masks
-        degrees = [m.bit_count() for m in base]
-        inherited = count_cliques(parent, r)
-        free = None  # built on the first extension that reaches best
-        # largest neighbourhoods first, for the same reason as dense parents
-        for nbr in _augmentations(base, degrees, range((1 << parent.n) - 1, -1, -1)):
-            count = inherited + count_cliques_in_mask(base, nbr, r - 1)
-            if count < best:
-                continue
-            if free is None:
-                free = _free_extension_test(parent, family)
-            if not (free(nbr) and _keeps_new_vertex(base, degrees, nbr)):
-                continue
-            if count > best:
-                best = count
-                maximisers.clear()
-            maximisers.add(canonical_graph6(_extend(base, nbr)))
-    return best, sorted(maximisers)[:_WITNESS_CAP]
 
 
 def _worker_count(jobs: int, parents: int) -> int:
@@ -578,24 +567,6 @@ class RegionReport:
     rows: tuple[RegionRow, ...]
     first_agreement_n: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "s": self.s,
-            "r": self.r,
-            "parity": self.parity,
-            "rows": [
-                {
-                    "n": row.n,
-                    "oracle": row.oracle_value,
-                    "formula": row.formula_value,
-                    "agrees": row.agrees,
-                    "below_threshold": row.below_threshold,
-                }
-                for row in self.rows
-            ],
-            "first_agreement_n": self.first_agreement_n,
-        }
 
 
 def verify_formula_region(

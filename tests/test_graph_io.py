@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genturan import (
     Graph,
@@ -44,6 +45,18 @@ class TestGraph6:
                 body = body << 1 | g.has_edge(u, v)
         assert graph6_string(g.n, body) == to_graph6(g)
         assert graph6_masks(g.n, body) == list(g.adjacency_masks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_strings_of_one_order_sort_as_their_bodies(self, data):
+        # brute_force_ex sorts witnesses as bodies and reports them as
+        # strings; n >= 63 takes the four-byte order field
+        n = data.draw(st.integers(2, 70))
+        width = n * (n - 1) // 2
+        a, b = (data.draw(st.integers(0, (1 << width) - 1)) for _ in range(2))
+        near = a ^ 1 << data.draw(st.integers(0, width - 1))
+        for x, y in ((a, b), (b, a), (a, near), (near, a), (a, a)):
+            assert (graph6_string(n, x) < graph6_string(n, y)) == (x < y)
 
     def test_large_order_header(self):
         g = Graph(70, [(0, 69)])

@@ -521,6 +521,18 @@ class TestBruteForce:
             parallel = brute_force_ex(n, fam, jobs=2)
             assert serial.to_json(stable=True) == parallel.to_json(stable=True)
 
+    def test_every_class_ties_below_r(self):
+        # no graph on 7 vertices has a K_8, so all 1,044 classes reach 0:
+        # each worker finds several hundred, and the witness cap is applied
+        # once, after their merge
+        classes = enumerate_family_free(7, ForbiddenFamily())
+        every = sorted(canonical_graph6(g) for g in classes)
+        assert len(every) == 1044
+        for jobs in (1, 2):
+            res = brute_force_ex(7, ForbiddenFamily(clique_order=8), jobs=jobs)
+            assert (res.max_count, res.examined) == (0, 11291)
+            assert res.witnesses == tuple(every[:100])
+
     def test_worker_count_is_capped(self, monkeypatch):
         # a pure helper: no pool is started, whatever jobs asks for
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
