@@ -1,14 +1,18 @@
 """Exact circumference and long-cycle detection.
 
 Every cycle of a graph lies inside one block, so both searches decompose
-the graph into blocks and run a path DFS per block.  Five devices keep
-the search exact but fast on the structured graphs this package builds:
+the graph into blocks and run a path DFS per block.  One search serves
+both, driven by `needed`, the shortest cycle length that counts, and
+`enough`, the length at which it may stop; each cycle found raises
+`needed` past its length.  find_cycle_geq(g, k) runs it with (k, k),
+circumference with (3, n).  Five devices keep the search exact but fast
+on the structured graphs this package builds:
 
 * both searches run on the twin kernel (graphs.twin_kernel, which proves
   it exact) and map the cycle found back; the dominated-clique blocks of
   the extremal graphs shrink to a handful of vertices;
 * a block is searched only if a twin-class count leaves room for a cycle
-  of the length needed (_cycle_bound).  An open-twin class T with
+  of `needed` (_cycle_bound).  An open-twin class T with
   neighbourhood N is independent, so a cycle C reaches each vertex of
   C & T from N and back: |C & T| <= |C & N| <= |N|, and equality makes C
   alternate between T and N inside T | N, so a cycle longer than
@@ -16,9 +20,9 @@ the search exact but fast on the structured graphs this package builds:
   the classes, which partition the block, bounds the length of every
   such cycle.  The central kernel blocks of St2 and of H(n, k, a) with
   2a + 1 < k have as many vertices as the forbidden length, the bound
-  puts them one short, and so they need no DFS at all.  The longest-cycle
-  search of a block also stops as soon as the bound on the vertices not
-  yet exhausted leaves no room for a cycle longer than the best found;
+  puts them one short, and so they need no DFS at all.  The search of a
+  block also stops as soon as the bound on the vertices not yet
+  exhausted leaves no room for a cycle of `needed`;
 * start vertices are processed in decreasing-degree order and deleted
   once exhausted (all cycles through them have been seen);
 * twins among the still-alive vertices (the open or closed twin classes
@@ -35,8 +39,7 @@ the search exact but fast on the structured graphs this package builds:
   bound nor the twin skip and 6.8 s with neither the bound nor the
   kernel;
 * a branch is cut when the path length plus the number of vertices still
-  reachable from its endpoint cannot beat the best known cycle (or reach
-  the requested length).
+  reachable from its endpoint falls short of `needed`.
 
 An optional node-expansion budget turns a runaway search into a
 BudgetExceededError instead of an unbounded run.
@@ -67,49 +70,42 @@ class _SearchState:
 def _longest_cycle_in_block(
     adj: tuple[int, ...],
     block_mask: int,
-    target: int | None,
+    needed: int,
+    enough: int,
     state: _SearchState,
-) -> tuple[int, list[int] | None]:
-    """Longest cycle using only vertices of block_mask.
-
-    With target set, stops at the first cycle of length >= target; without
-    it, as soon as _cycle_bound rules out a longer cycle than the best
-    found among the vertices still alive, which hold every cycle the
-    remaining search could see.
-    """
-    best_len = 0
-    best_cycle: list[int] | None = None
+) -> list[int] | None:
+    """A longest cycle of G[block_mask] with at least `needed` >= 3
+    vertices, or the first one found with at least `enough`; None if none
+    has `needed`.  Each cycle found raises `needed` past its length; the
+    search stops once `needed` passes `enough` or _cycle_bound rules out a
+    cycle of `needed` among the vertices still alive, which hold every
+    cycle the remaining search could see."""
+    cycle = None
     alive = block_mask
     order = sorted(
         _iter_bits(block_mask),
         key=lambda v: (-(adj[v] & block_mask).bit_count(), v),
     )
     for start in order:
-        needed = target if target is not None else best_len + 1
-        if alive.bit_count() < max(needed, 3):
+        if alive.bit_count() < needed:
             break
         twins = twin_masks(adj, alive)
         path = [start]
         on_path = 1 << start
 
         def rec(v: int) -> bool:
-            nonlocal best_len, best_cycle, on_path
+            nonlocal cycle, needed, on_path
             state.tick()
-            if len(path) >= 3 and (adj[v] >> start) & 1:
-                if len(path) > best_len:
-                    best_len = len(path)
-                    best_cycle = list(path)
-                    if target is not None:
-                        if best_len >= target:
-                            return True
-                    elif _cycle_bound(adj, alive, best_len + 1) < best_len + 1:
-                        return True  # no longer cycle left in alive
+            if len(path) >= needed and (adj[v] >> start) & 1:
+                cycle = list(path)
+                needed = len(path) + 1
+                if needed > enough or _cycle_bound(adj, alive, needed) < needed:
+                    return True
             free = alive & ~on_path
-            threshold = best_len if target is None else target - 1
-            if len(path) + free.bit_count() <= threshold:
+            if len(path) + free.bit_count() < needed:
                 return False
             m = adj[v] & free
-            if len(path) + reach(adj, free, m).bit_count() <= threshold:
+            if len(path) + reach(adj, free, m).bit_count() < needed:
                 return False
             seen_classes = 0
             while m:
@@ -131,9 +127,9 @@ def _longest_cycle_in_block(
         found = rec(start)
         del rec  # rec refers to itself through its closure: break the cycle
         if found:
-            return best_len, best_cycle
+            break
         alive ^= 1 << start
-    return best_len, best_cycle
+    return cycle
 
 
 def _cycle_bound(adj: tuple[int, ...], block: int, needed: int) -> int:
@@ -169,28 +165,26 @@ def _cycle_bound(adj: tuple[int, ...], block: int, needed: int) -> int:
 
 
 def _longest_cycle(
-    graph: Graph, target: int | None, budget: int | None
-) -> tuple[int, list[int] | None]:
-    """(length, vertex list) of a longest cycle, or with target set of the
-    first one found of length >= target; (0, None) if acyclic.  Blocks of
-    the twin kernel are searched largest first, each only if _cycle_bound
-    leaves room for a cycle of the length needed."""
+    graph: Graph, needed: int, enough: int, budget: int | None
+) -> list[int] | None:
+    """_longest_cycle_in_block over the blocks of graph's twin kernel,
+    largest first, with `needed` carried across them; each block is
+    searched only if _cycle_bound leaves room for a cycle of `needed`."""
     kernel, labels = twin_kernel(graph)
     adj = kernel.adjacency_masks
     masks = [b for b in _raw_blocks(kernel)[0] if b.bit_count() >= 3]
     state = _SearchState(budget)
-    best_len, best_cycle = 0, None
+    cycle = None
     for mask in sorted(masks, key=lambda m: -m.bit_count()):
-        needed = target or best_len + 1
-        # _cycle_bound never exceeds the block size; the size test is cheaper
-        if mask.bit_count() < needed or _cycle_bound(adj, mask, needed) < needed:
+        # blocks come largest first, and _cycle_bound never exceeds the size
+        if needed > enough or mask.bit_count() < needed:
+            break
+        if _cycle_bound(adj, mask, needed) < needed:
             continue
-        length, cycle = _longest_cycle_in_block(adj, mask, target, state)
-        if length > best_len:
-            best_len, best_cycle = length, cycle
-            if target is not None and length >= target:
-                break
-    return best_len, best_cycle and [labels[v] for v in best_cycle]
+        found = _longest_cycle_in_block(adj, mask, needed, enough, state)
+        if found:
+            cycle, needed = found, len(found) + 1
+    return cycle and [labels[v] for v in cycle]
 
 
 def circumference(graph: Graph, budget: int | None = None) -> int:
@@ -199,7 +193,7 @@ def circumference(graph: Graph, budget: int | None = None) -> int:
     Exact.  With a budget, raises BudgetExceededError when the search
     expands more nodes than allowed.
     """
-    return _longest_cycle(graph, None, budget)[0]
+    return len(_longest_cycle(graph, 3, graph.n, budget) or ())
 
 
 def find_cycle_geq(
@@ -208,8 +202,7 @@ def find_cycle_geq(
     """The first cycle found of length >= k_c, as a vertex list, or None."""
     if k_c < 3:
         raise ParameterError(f"cycle length threshold must be >= 3, got {k_c}")
-    length, cycle = _longest_cycle(graph, k_c, budget)
-    return cycle if length >= k_c else None
+    return _longest_cycle(graph, k_c, k_c, budget)
 
 
 def has_cycle_geq(graph: Graph, k_c: int, budget: int | None = None) -> bool:

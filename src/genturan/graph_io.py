@@ -149,6 +149,8 @@ def from_edgelist(text: str, n: int | None = None) -> Graph:
             raise GraphFormatError(f"line {lineno}: non-integer vertex in {raw!r}")
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex in {raw!r}")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: loop at vertex {u} in {raw!r}")
         edges.append((u, v))
         top = max(top, u, v)
     if n is None:

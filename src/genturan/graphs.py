@@ -300,14 +300,17 @@ def clique_quotient(graph: Graph) -> tuple[int, dict[int, list[int]]]:
 def count_cliques(graph: Graph, r: int) -> int:
     """Number of r-vertex subsets of `graph` that induce a complete subgraph.
 
-    N_1 = n and N_2 = the edge count; r larger than n gives 0.  For r >= 3
-    it sums, over the cliques Q of the clique_quotient (every r reads the
-    one twin partition cached on graph), the product over the classes C of
-    Q of the ways to take j_C members of C, over the j_C >= 1 that sum to
-    r (see the module docstring).
+    N_1 = n and N_2 = the edge count; r larger than n gives 0 before any
+    quotient is built.  For r >= 3 it sums, over the cliques Q of the
+    clique_quotient (every r reads the one twin partition cached on
+    graph), the product over the classes C of Q of the ways to take j_C
+    members of C, over the j_C >= 1 that sum to r (see the module
+    docstring).
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
+    if r > graph.n:
+        return 0
     if r == 1:
         return graph.n
     if r == 2:

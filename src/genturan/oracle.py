@@ -29,14 +29,15 @@ parent.  _augmentations shows that they lose no class; the
 canonical-form set still removes the duplicates they let through.  Every
 filter only drops extensions, so they run cheapest first.
 
-One loop, _new_classes, extends a list of parents.  It may count K_r:
-the K_r count of an extension is the parent's count plus the
-(r-1)-cliques in the new vertex's neighbourhood, an extension below the
-best count seen so far is dropped before its family test, a parent's test
-is built only once one of its extensions reaches that count, and only the
-family-free extensions that reach it are canonicalised.  Uncounted, every
-extension ties and every class is kept.  _grow_classes runs it uncounted
-on each level; brute_force_ex runs it counted on the classes on n - 1
+One loop, _new_classes, extends a list of parents and counts K_r: the
+K_r count of an extension is the parent's count plus the (r-1)-cliques
+in the new vertex's neighbourhood, an extension below the best count
+seen so far is dropped before its family test, a parent's test is built
+only once one of its extensions reaches that count, and only the
+family-free extensions that reach it are canonicalised.  _grow_classes
+runs it on each level with r = size + 1: no graph on size vertices has
+a K_{size+1}, so every extension ties at 0 and every class is kept.
+brute_force_ex runs it with the family's r on the classes on n - 1
 vertices, without keeping the last level.  For jobs > 1 brute_force_ex
 splits those parents over processes and merges the canonical forms as
 sets, so maxima, witness sets and the examined counter are identical
@@ -227,23 +228,22 @@ def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     ones included).
 
     Each level is _charge'd first, then grown from the one below by
-    _new_classes with nothing counted, which keeps every class."""
+    _new_classes counting K_{size+1}, which no extension has, so every
+    class ties at 0 and is kept."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
         tried = _charge(tried, len(level), size)
-        _, found = _new_classes(level, family, None)
+        _, found = _new_classes(level, family, size + 1)
         level = [graph_from_encoding(key, size) for key in sorted(found)]
     return level, tried
 
 
 def _new_classes(
-    parents: list[Graph], family: ForbiddenFamily, r: int | None
+    parents: list[Graph], family: ForbiddenFamily, r: int
 ) -> tuple[int, set[int]]:
     """The largest K_r count over the family-free one-vertex extensions of
     parents, and the canonical encodings of the extensions that reach it.
-    With r None nothing is counted: every extension ties at 0 and every
-    class is returned.
 
     Each parent's neighbourhoods are walked from the largest down, so the
     best count rises early, and each passes, cheapest first, the filters of
@@ -260,14 +260,12 @@ def _new_classes(
     for parent in parents:
         base = parent.adjacency_masks
         degrees = [m.bit_count() for m in base]
-        inherited = 0 if r is None else count_cliques(parent, r)
+        inherited = count_cliques(parent, r)
         free = None
-        for nbr in _augmentations(base, degrees, range((1 << parent.n) - 1, -1, -1)):
-            count = inherited
-            if r is not None:
-                count += count_cliques_in_mask(base, nbr, r - 1)
-                if count < best:
-                    continue
+        for nbr in _augmentations(base, degrees):
+            count = inherited + count_cliques_in_mask(base, nbr, r - 1)
+            if count < best:
+                continue
             if free is None:
                 free = _free_extension_test(parent, family)
             if not (free(nbr) and _keeps_new_vertex(base, degrees, nbr)):
@@ -279,12 +277,11 @@ def _new_classes(
     return best, found
 
 
-def _augmentations(
-    base: tuple[int, ...], degrees: list[int], nbrs: range
-) -> Iterator[int]:
-    """The neighbourhoods in nbrs (masks below len(base)) whose extensions
-    of the graph with adjacency masks base and vertex degrees degrees pass
-    the cheap parts of two exact filters, which together lose no class:
+def _augmentations(base: tuple[int, ...], degrees: list[int]) -> Iterator[int]:
+    """The neighbourhoods (masks below len(base), from the largest down)
+    whose extensions of the graph with adjacency masks base and vertex
+    degrees degrees pass the cheap parts of two exact filters, which
+    together lose no class:
 
     * canonical deletion by invariant: the new vertex w has the largest
       deletion key of the extension, ties kept (_keeps_new_vertex).  As w
@@ -308,7 +305,7 @@ def _augmentations(
     floor = max(degrees, default=0)
     twins = chain(*twin_partition(base))
     classes = [sum(1 << v for v in c) for c in twins if len(c) > 1]
-    for nbr in nbrs:
+    for nbr in range((1 << len(base)) - 1, -1, -1):
         if nbr.bit_count() >= floor and _takes_lowest_twins(classes, nbr):
             yield nbr
 

@@ -186,6 +186,15 @@ class TestConstructVerifyRoundTrip:
         code, _, _ = _run(capsys, ["verify", "--graph", str(path)])
         assert code == 2
 
+    def test_verify_edgelist_loop_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "loop.txt"
+        path.write_text("0 0\n")
+        code, _, err = _run(
+            capsys, ["verify", "--graph", str(path), "--format", "edgelist"]
+        )
+        assert code == 2
+        assert err.startswith("error: line 1: loop at vertex 0")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -135,10 +135,10 @@ def _unreduced_circumference(g: Graph) -> int:
     with mock.patch("genturan.cycles._cycle_bound", vertex_count):
         for mask in _raw_blocks(g)[0]:
             if mask.bit_count() >= 3:
-                length, _ = _longest_cycle_in_block(
-                    g.adjacency_masks, mask, None, _SearchState(None)
+                cycle = _longest_cycle_in_block(
+                    g.adjacency_masks, mask, 3, g.n, _SearchState(None)
                 )
-                best = max(best, length)
+                best = max(best, len(cycle or ()))
     return best
 
 
@@ -161,6 +161,17 @@ def _small_witnesses():
         for a in range(2, (k - 1) // 2 + 1):
             for n in (k, 30):
                 yield build_H(n, k, a), k
+
+
+def _k6_and_two_paths() -> Graph:
+    """K_6 on 0..5, x = 6 and y = 7 joined to all of it, and the x-y paths
+    x p y and x q r y (p, q, r = 8, 9, 10)."""
+    m = 6
+    x, y, p, q, r = range(m, m + 5)
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges += [(u, w) for w in (x, y) for u in range(m)]
+    edges += [(x, p), (p, y), (x, q), (q, r), (r, y)]
+    return Graph(m + 5, edges)
 
 
 class TestTwinKernel:
@@ -200,12 +211,7 @@ class TestTwinKernel:
         # 11 needs both paths, and they close x p y r q x without K_6.  The
         # bound leaves room for 11, and proving there is none takes 9,794
         # expansions when every member of K_6 is tried, and 39 when one is
-        m = 6
-        x, y, p, q, r = range(m, m + 5)
-        edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
-        edges += [(u, w) for w in (x, y) for u in range(m)]
-        edges += [(x, p), (p, y), (x, q), (q, r), (r, y)]
-        g = Graph(m + 5, edges)
+        g = _k6_and_two_paths()
         perm = list(range(g.n))
         random.Random(3).shuffle(perm)
         for h in (g, g.relabeled(perm)):
@@ -311,3 +317,76 @@ class TestCycleBound:
                 rng.shuffle(perm)
                 g = build_St2(n, 6, q).relabeled(perm)
                 assert circumference(g, budget=2000) == 11
+
+
+def _pinned_graphs() -> dict[str, Graph]:
+    """Relabelled St2 and H witnesses, the graph of
+    test_closed_twins_are_tried_once, the Petersen graph and seeded random
+    graphs, by name."""
+    built = {
+        f"St2({n},6,{q})": build_St2(n, 6, q) for n, q in ((12, 1), (30, 2), (60, 3))
+    }
+    for n, k, a in ((12, 7, 3), (18, 10, 3), (25, 10, 4)):
+        built[f"H({n},{k},{a})"] = build_H(n, k, a)
+    rng = random.Random(22)
+    for name, g in built.items():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        built[name] = g.relabeled(perm)
+    built["K_6 and two paths"] = _k6_and_two_paths()
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    built["Petersen"] = Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+    for seed, n, p in (
+        (3, 12, 0.3), (4, 12, 0.4), (11, 11, 0.3), (12, 10, 0.35),
+        (17, 12, 0.4), (29, 12, 0.4), (35, 10, 0.35),
+    ):
+        built[f"G({n},{p}) seed {seed}"] = random_graph(random.Random(seed), n, p)
+    return built
+
+
+PINNED_GRAPHS = _pinned_graphs()
+
+# name: (circumference c, node expansions of circumference, of
+# find_cycle_geq at c and of find_cycle_geq at c + 1).  0 expansions means
+# that _cycle_bound rules out every block without a DFS.
+PINNED_EXPANSIONS = {
+    "St2(12,6,1)": (11, 11, 11, 0),
+    "St2(30,6,2)": (11, 11, 11, 0),
+    "St2(60,6,3)": (11, 11, 11, 0),
+    "H(12,7,3)": (6, 6, 6, 0),
+    "H(18,10,3)": (9, 10, 10, 0),
+    "H(25,10,4)": (9, 10, 10, 0),
+    "K_6 and two paths": (10, 40, 11, 39),
+    "Petersen": (9, 262, 9, 262),
+    "G(12,0.3) seed 3": (7, 28, 7, 26),
+    "G(12,0.4) seed 4": (11, 1152, 343, 942),
+    "G(11,0.3) seed 11": (7, 53, 16, 42),
+    "G(10,0.35) seed 12": (9, 94, 12, 84),
+    "G(12,0.4) seed 17": (11, 1052, 70, 990),
+    "G(12,0.4) seed 29": (10, 628, 98, 608),
+    "G(10,0.35) seed 35": (6, 31, 16, 25),
+}
+
+
+class TestExpansionsPinned:
+    """The budget a pinned search needs is exactly its recorded expansion
+    count: one fewer raises, so a change in pruning or order shows here."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_EXPANSIONS))
+    def test_find_cycle_geq(self, name):
+        g = PINNED_GRAPHS[name]
+        c, _, at_c, above = PINNED_EXPANSIONS[name]
+        cycle = find_cycle_geq(g, c, budget=at_c)
+        assert len(cycle) == c and _is_cycle(g, cycle)
+        assert find_cycle_geq(g, c + 1, budget=above) is None
+        with pytest.raises(BudgetExceededError):
+            find_cycle_geq(g, c, budget=at_c - 1)
+        if above:
+            with pytest.raises(BudgetExceededError):
+                find_cycle_geq(g, c + 1, budget=above - 1)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_EXPANSIONS))
+    def test_circumference(self, name):
+        c, expansions, *_ = PINNED_EXPANSIONS[name]
+        assert circumference(PINNED_GRAPHS[name], budget=expansions) == c

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from genturan import (
     Graph,
     GraphFormatError,
+    ParameterError,
     build_extremal_odd,
     from_edgelist,
     from_graph6,
@@ -123,6 +124,12 @@ class TestEdgeList:
             from_edgelist("a b\n")
         with pytest.raises(GraphFormatError):
             from_edgelist("0 5\n", n=3)
+
+    def test_loop_rejected_with_its_line(self):
+        with pytest.raises(GraphFormatError, match="line 2: loop at vertex 3"):
+            from_edgelist("0 1\n3 3\n")
+        with pytest.raises(ParameterError):
+            Graph(4, [(3, 3)])  # API callers keep the ParameterError
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(max_n=10, min_n=1))

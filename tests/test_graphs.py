@@ -236,6 +236,17 @@ class TestCountCliques:
         with pytest.raises(ParameterError):
             count_cliques(Graph(2), 0)
 
+    def test_r_above_n_builds_no_quotient(self, monkeypatch):
+        # growing the level on size vertices, the oracle counts K_{size+1}
+        # on every parent, which has size - 1 vertices
+        def refuse(graph):
+            raise AssertionError("clique_quotient built for r > n")
+
+        monkeypatch.setattr("genturan.graphs.clique_quotient", refuse)
+        for n in range(5):
+            for r in (n + 1, n + 2):
+                assert count_cliques(Graph.complete(n), r) == 0
+
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=8), st.integers(1, 5))
     def test_matches_subset_enumeration(self, g, r):

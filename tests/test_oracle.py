@@ -352,7 +352,7 @@ class TestAugmentationFilters:
         # nbr takes {}, {0} or {0, 1} of the one and {}, {2} or {2, 3} of the
         # other, and at least one vertex (the parent's maximum degree)
         base = Graph(4, [(0, 1)]).adjacency_masks
-        kept = list(_augmentations(base, [1, 1, 0, 0], range(1 << 4)))
+        kept = sorted(_augmentations(base, [1, 1, 0, 0]))
         assert kept == [0b0001, 0b0011, 0b0100, 0b0101, 0b0111, 0b1100, 0b1101, 0b1111]
 
     @settings(max_examples=200, deadline=None)
