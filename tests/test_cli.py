@@ -195,6 +195,23 @@ class TestConstructVerifyRoundTrip:
         assert code == 2
         assert err.startswith("error: line 1: loop at vertex 0")
 
+    def test_verify_edgelist_long_cycle(self, capsys, tmp_path):
+        # a path of 1100 vertices is deeper than Python's recursion limit
+        n = 1100
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--graph", str(path), "--format", "edgelist", "--k", "5"],
+        )
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        assert data["family_free"] is False
+        cycle = data["violation"]["cycle"]
+        assert sorted(cycle) == list(range(n))
+        assert all((cycle[i] - cycle[i - 1]) % n in (1, n - 1) for i in range(n))
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -124,6 +124,25 @@ class TestHasCycleGeq:
             assert has_cycle_geq(g, k_c) == (c >= k_c)
 
 
+class TestDeepInputs:
+    # paths of 1100 vertices are deeper than Python's recursion limit
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_cycle_of_1100_vertices(self, seed):
+        g = cycle_graph(1100)
+        if seed is not None:
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            g = g.relabeled(perm)
+        cycle = find_cycle_geq(g, 5)
+        assert cycle is not None
+        assert len(cycle) == 1100
+        assert _is_cycle(g, cycle)
+        assert circumference(g) == 1100
+        assert has_cycle_geq(g, 1100)
+        assert not has_cycle_geq(g, 1101)
+
+
 def _unreduced_circumference(g: Graph) -> int:
     """Block-by-block DFS on the full blocks, without the twin kernel and
     with _cycle_bound replaced by the trivial bound, the vertex count."""

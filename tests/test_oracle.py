@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -14,6 +15,8 @@ from genturan import (
     OracleSizeError,
     ParameterError,
     brute_force_ex,
+    build_H,
+    build_St2,
     build_woodall_G0,
     canonical_graph,
     canonical_graph6,
@@ -43,7 +46,7 @@ from genturan.oracle import (
     graph_from_encoding,
 )
 
-from conftest import graphs, random_graph
+from conftest import graphs, random_graph, star_graph
 
 
 def _minimum_by_permutation_scan(g: Graph) -> str:
@@ -239,6 +242,25 @@ class TestCanonicalForm:
             g = random_graph(rng, n, 0.4)
             canon = from_graph6(canonical_graph6(g))
             assert graph_from_encoding(canonical_encoding(g), n) == canon
+
+    def test_deep_inputs(self):
+        # 1100 positions are deeper than Python's recursion limit
+        k = Graph.complete(1100)
+        assert canonical_graph6(k) == to_graph6(k)
+        for g in (star_graph(1100), build_H(1100, 7, 3)):
+            perm = list(range(g.n))
+            random.Random(13).shuffle(perm)
+            assert canonical_graph6(g.relabeled(perm)) == canonical_graph6(g)
+
+    def test_leaves_no_reference_cycles(self):
+        g = build_St2(12, 3, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            canonical_encoding(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumerateFamilyFree:
