@@ -20,7 +20,10 @@ the quotient with j_C >= 1 members taken from each class C of Q, the
 j_C summing to r.  A closed class is a clique, whose j members can be
 any C(|C|, j) of them; an open class is independent, so it gives one
 member, any of |T|.  The extremal graphs are block-stars of closed
-cliques and open classes, and shrink to a handful of classes.
+cliques and open classes, and shrink to a handful of classes.  One loop
+on an explicit stack (_weighted_cliques) does the count, with no depth
+limit; the plain count of count_cliques_in_mask is the same loop with no
+weights.
 """
 
 from __future__ import annotations
@@ -237,6 +240,14 @@ def _graph_twins(graph: Graph) -> tuple[list[list[int]], list[list[int]]]:
     return graph._twins
 
 
+def induced_masks(masks: tuple[int, ...] | list[int], keep: int) -> list[int]:
+    """The adjacency masks of the subgraph induced on the vertex mask keep,
+    its vertices relabelled 0, 1, ... in increasing order."""
+    labels = list(_iter_bits(keep))
+    index = {v: i for i, v in enumerate(labels)}
+    return [sum(1 << index[u] for u in _iter_bits(masks[v] & keep)) for v in labels]
+
+
 def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     """The twin kernel of graph and its labels: kernel vertex i is vertex
     labels[i] of graph, and labels is increasing.
@@ -267,11 +278,7 @@ def twin_kernel(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     labels.sort()
     kernel = None  # stands for graph itself, so the cache is no reference cycle
     if len(labels) < graph.n:
-        keep = sum(1 << v for v in labels)
-        index = {v: i for i, v in enumerate(labels)}
-        kernel = Graph._trusted(
-            [sum(1 << index[u] for u in _iter_bits(adj[v] & keep)) for v in labels]
-        )
+        kernel = Graph._trusted(induced_masks(adj, sum(1 << v for v in labels)))
     graph._kernel = (kernel, tuple(labels))
     return kernel or graph, graph._kernel[1]
 
@@ -316,71 +323,68 @@ def count_cliques(graph: Graph, r: int) -> int:
     if r == 2:
         return graph.num_edges
     reps, weights = clique_quotient(graph)
-    multi = slack = 0
-    for v, row in weights.items():
-        multi |= 1 << v
-        slack += len(row) - 1
-    return _weighted_cliques(graph._adj, weights, multi, slack, reps, r)
+    return _weighted_cliques(graph._adj, weights, reps, r)
 
 
 def _weighted_cliques(
-    adj: tuple[int, ...],
-    weights: dict[int, list[int]],
-    multi: int,
-    slack: int,
-    cand: int,
-    r: int,
+    adj: tuple[int, ...] | list[int], weights: dict[int, list[int]], cand: int, r: int
 ) -> int:
     """Ways to take r vertices from the classes represented in cand so
-    that they form a clique: count_cliques_in_mask with class weights.
-    multi masks the representatives in weights; every other class is one
-    vertex and is taken as count_cliques_in_mask takes it.  A class gives
-    at most len(weights[v]) vertices and slack sums len - 1 over all of
-    them, so fewer than r - slack classes cannot hold r vertices, nor
-    fewer than r classes once cand holds no class of weights."""
-    if r == 1:
-        total = cand.bit_count()
-        m = cand & multi
-        while m:
-            low = m & -m
-            m ^= low
-            total += weights[low.bit_length() - 1][0] - 1
-        return total
-    total = 0
-    while cand and cand.bit_count() + (slack if cand & multi else 0) >= r:
-        low = cand & -cand
-        cand ^= low
-        v = low.bit_length() - 1
-        rest = cand & adj[v]
-        if not low & multi:
-            if rest:
-                total += _weighted_cliques(adj, weights, multi, slack, rest, r - 1)
-            continue
-        row = weights[v]
-        if len(row) >= r:
-            total += row[r - 1]
-        if rest:
-            for j in range(1, min(len(row), r - 1) + 1):
-                ways = _weighted_cliques(adj, weights, multi, slack, rest, r - j)
-                total += row[j - 1] * ways
-    return total
+    that they form a clique, each class given as in clique_quotient: the
+    one clique count, on a stack of frames (cand, r, ways), each adding
+    ways times its own count to the total, so it has no depth limit.
+
+    A frame takes its lowest class v and leaves the rest of cand to its
+    own loop: with j members of v, the clique's other r - j vertices come
+    from the classes of cand joined to v, a frame of its own.  A class
+    missing from weights is one vertex.  A class gives at most
+    len(weights[v]) vertices and slack sums len - 1 over all of them, so
+    fewer than r - slack classes cannot hold r vertices, nor fewer than r
+    classes once cand holds no class of weights."""
+    multi = slack = 0
+    if weights:
+        for v, row in weights.items():
+            multi |= 1 << v
+            slack += len(row) - 1
+    elif r == 1:
+        return cand.bit_count()
+    total, ways, stack = 0, 1, []
+    while True:
+        if r == 1:
+            total += ways * cand.bit_count()
+            m = cand & multi
+            while m:
+                low = m & -m
+                m ^= low
+                total += ways * (weights[low.bit_length() - 1][0] - 1)
+        else:
+            while cand and cand.bit_count() + (slack if cand & multi else 0) >= r:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                rest = cand & adj[v]
+                if not low & multi:
+                    if r == 2 and not rest & multi:  # a frame of r = 1, counted here
+                        total += ways * rest.bit_count()
+                    elif rest:
+                        stack.append((rest, r - 1, ways))
+                    continue
+                row = weights[v]
+                if len(row) >= r:
+                    total += ways * row[r - 1]
+                if rest:
+                    for j in range(1, min(len(row), r - 1) + 1):
+                        stack.append((rest, r - j, ways * row[j - 1]))
+        if not stack:
+            return total
+        cand, r, ways = stack.pop()
 
 
 def count_cliques_in_mask(adj: tuple[int, ...] | list[int], cand: int, r: int) -> int:
-    """r-cliques using only vertices of `cand`: the clique recursion behind
-    count_cliques and the oracle's incremental counts."""
-    if r == 0:
-        return 1
-    if r == 1:
-        return cand.bit_count()
-    total = 0
-    while cand:
-        if cand.bit_count() < r:
-            break
-        low = cand & -cand
-        cand ^= low
-        total += count_cliques_in_mask(adj, cand & adj[low.bit_length() - 1], r - 1)
-    return total
+    """r-cliques (r >= 1) using only vertices of `cand`, for the oracle's
+    incremental counts: _weighted_cliques with no weights, so every
+    vertex is its own class."""
+    return _weighted_cliques(adj, {}, cand, r)
 
 
 def count_cliques_by_enumeration(graph: Graph, r: int) -> int:

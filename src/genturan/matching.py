@@ -3,8 +3,8 @@
 The primary matching routine is an augmenting-path algorithm with blossom
 contraction (exact for general graphs).  A dynamic program over vertex
 subsets serves as an independent oracle for n <= 12.  has_matching_of_size
-(t disjoint edges on a vertex bitmask, by branching) has no caller in the
-package; it is kept only because perfbench/tracer.py binds it.
+(t disjoint edges on a vertex bitmask) has no caller in the package; it
+is kept only because perfbench/tracer.py binds it.
 
 A matching bound nu(G) <= s always has a short certificate: a vertex set
 X with |X| + sum_i floor(|C_i|/2) <= s over the components C_i of G - X.
@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParameterError, SizeLimitError
-from .graphs import Graph, _iter_bits, twin_kernel
+from .graphs import Graph, _iter_bits, induced_masks, twin_kernel
 
 _ENUMERATION_LIMIT = 12
 
@@ -168,34 +168,8 @@ def max_matching_by_enumeration(graph: Graph) -> int:
 
 def has_matching_of_size(adj: tuple[int, ...] | list[int], active: int, t: int) -> bool:
     """True iff there are t pairwise-disjoint edges among the vertices of
-    the bitmask `active`.  Branches on the lowest non-isolated vertex."""
-    if t <= 0:
-        return True
-
-    def rec(mask: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            nbrs = adj[v] & mask & ~low
-            if nbrs:
-                break
-            mask ^= low
-        else:
-            return False
-        if mask.bit_count() < 2 * need:
-            return False
-        rest = mask ^ low
-        m = nbrs
-        while m:
-            lu = m & -m
-            m ^= lu
-            if rec(rest ^ lu, need - 1):
-                return True
-        return rec(rest, need)
-
-    return rec(active, t)
+    the bitmask `active`: nu(G[active]) >= t, by the blossom."""
+    return max_matching(Graph._trusted(induced_masks(adj, active))) >= t
 
 
 def _component_sizes(graph: Graph, removed: tuple[int, ...]) -> list[int]:

@@ -65,8 +65,9 @@ def _check_odd() -> None:
         assert is_family_free(
             g, ForbiddenFamily(cycle_min_len=2 * k + 1, matching_bound=s, clique_order=r)
         )
-    # the twin-quotient count against the plain recursion, on a witness
-    # relabelled so that no class is a run of consecutive labels
+    # the twin-quotient count against the plain count (the same loop, each
+    # vertex its own class), on a witness relabelled so that no class is a
+    # run of consecutive labels
     g = build_extremal_odd(30, 3, 7, 3).relabeled([7 * v % 30 for v in range(30)])
     full = (1 << g.n) - 1
     for r in range(3, 8):

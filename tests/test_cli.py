@@ -212,6 +212,23 @@ class TestConstructVerifyRoundTrip:
         assert sorted(cycle) == list(range(n))
         assert all((cycle[i] - cycle[i - 1]) % n in (1, n - 1) for i in range(n))
 
+    def test_verify_edgelist_deep_clique(self, capsys, tmp_path):
+        # K_1100 on 1100..2199 with a pendant 0..1099 at each vertex: a
+        # clique deeper than Python's recursion limit, and no twins; with
+        # the pendants first, the greedy matching is already perfect
+        n = 1100
+        path = tmp_path / "clique.txt"
+        lines = [f"{v} {n + v}\n" for v in range(n)]
+        lines += [f"{n + u} {n + v}\n" for u in range(n) for v in range(u + 1, n)]
+        path.write_text("".join(lines))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--graph", str(path), "--format", "edgelist", "--r", str(n)],
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["clique_count"] == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -272,6 +272,29 @@ class TestCountCliques:
             if g.n <= 9:
                 assert expected == count_cliques_by_enumeration(g, r)
 
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_planted_classes())
+    def test_planted_classes_against_networkx(self, g):
+        # planted graphs reach 23 vertices, past subset enumeration
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        sizes = [len(clique) for clique in nx.enumerate_all_cliques(h)]
+        for r in range(1, g.n + 2):
+            assert count_cliques(g, r) == sizes.count(r), (g, r)
+
+    def test_deep_inputs(self):
+        # cliques deeper than Python's recursion limit; one pendant per
+        # clique vertex leaves no twins, so the quotient does not shrink
+        n = 1100
+        edges = [(v, n + v) for v in range(n)]
+        edges += [(n + u, n + v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(2 * n, edges)
+        assert count_cliques(g, n) == 1
+        assert count_cliques(g, n - 1) == n
+        k = Graph.complete(1500)
+        assert count_cliques_in_mask(k.adjacency_masks, (1 << 1500) - 1, 1500) == 1
+
     def test_relabeled_witnesses_against_networkx(self):
         nx = pytest.importorskip("networkx")
         for g in relabeled_witnesses():
