@@ -6,9 +6,10 @@ upper-triangle adjacency bits in column order ((0,1), (0,2), (1,2),
 optional ">>graph6<<" header is accepted on input and never written.
 
 The upper-triangle bits, read as one integer with the pair (0,1) in the
-top bit, are the body of the graph: graph6_string packs an order and a
-body, graph6_masks unpacks a body into adjacency masks.  The oracle's
-canonical encoding is such a body, so it is written and read here too.
+top bit, are the body of the graph: graph6_body reads it off a graph,
+graph6_string packs an order and a body, graph6_masks unpacks a body into
+adjacency masks.  The oracle's canonical encoding is such a body, so it
+is written and read here too.
 
 Both directions work on whole masks, not bit by bit.  The encoder writes
 column v (u = 0..v-1) as one binary string of adj[v]'s low v bits, joins
@@ -54,10 +55,15 @@ def _encode_order(n: int) -> list[int]:
 
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as a graph6 string (no header, no newline)."""
+    return graph6_string(graph.n, graph6_body(graph))
+
+
+def graph6_body(graph: Graph) -> int:
+    """The body of graph (see graph6_string)."""
     n, adj = graph.n, graph.adjacency_masks
     # column v lists u = 0..v-1, lowest bit first
     bits = "".join(format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
-    return graph6_string(n, int(bits or "0", 2))
+    return int(bits or "0", 2)
 
 
 def graph6_string(n: int, body: int) -> str:

@@ -25,8 +25,10 @@ _ENUMERATION_LIMIT = 12
 
 
 def _greedy_matching(adj: tuple[int, ...], n: int) -> list[int]:
+    """A maximal matching (mates, -1 if exposed) to start the blossom: by
+    increasing degree, a pendant takes its neighbour before anyone else."""
     match = [-1] * n
-    for u in range(n):
+    for u in sorted(range(n), key=lambda v: adj[v].bit_count()):
         if match[u] == -1:
             for v in _iter_bits(adj[u]):
                 if match[v] == -1:

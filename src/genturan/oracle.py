@@ -1,14 +1,35 @@
 """Exhaustive ground truth for small orders.
 
-One engine answers every question here: a vertex-growth enumeration of
-the family-free graphs on n vertices, once per isomorphism class
-(in the spirit of McKay, Isomorph-free exhaustive generation, J.
-Algorithms 1998).  Freeness is inherited by induced subgraphs, so every
-family-free graph on `size` vertices is a one-vertex extension of a
-family-free class on size - 1 vertices; each level tries every
-neighbourhood of the new vertex over every class of the level below and
-keeps the canonical forms of the family-free extensions.
-enumerate_family_free returns the classes of the last level.
+One engine answers every question here: orderly generation of the
+family-free graphs on n vertices, which builds each isomorphism class
+once, in canonical form, with no deduplication (Read, Every one a winner,
+Ann. Discrete Math. 2, 1978; Faradzev, Constructive enumeration of
+combinatorial objects, Colloq. Internat. CNRS 260, 1978).
+
+The canonical form of a graph is its relabeling of least graph6 body
+(graph_io): the adjacency bits column by column, the pair (0, 1) on top.
+The body of G on m + 1 vertices is the body of G - m followed by the
+column of m, so minimality is inherited by G - m (a smaller relabeling of
+it would make G smaller), as freeness is.  So a minimal free graph is a
+minimal free parent P plus a last vertex m joined to a mask nbr, of body
+body(P) << m | column(nbr) (vertex 0 on top), and its class names that
+one P and nbr.  _new_classes keeps an extension iff it is minimal, and a
+level holds the kept extensions themselves.  Two necessary conditions,
+read off P, drop most extensions first (_columns):
+
+* column dominance: for every x < m, nbr on 0..x-1 is not below column x
+  of P; else swapping x with the new vertex keeps columns 1..x-1 and
+  shrinks column x.  Over all x this is one threshold, the largest;
+* highest twins: nbr takes the highest-labelled members of each class of
+  twins of P (graphs.twin_partition); else, for twins u < u' with u in nbr
+  and u' not, the automorphism of P that swaps them maps the extension
+  onto one whose last column has the bit of u moved down to u'.
+
+The exact test, _is_minimal, is the cell search of canonical_encoding
+started with the extension's own body as the best: it stops at the first
+placement whose prefix is below that body, and none is iff the body is
+minimal.  Witnesses are the kept bodies, and the oracle never calls
+canonical_encoding, which runs the same search from above every body.
 
 A query may try _ORACLE_BUDGET one-vertex extensions (the examined unit),
 charged a level at a time before the level runs, whatever the parallelism.
@@ -21,40 +42,18 @@ vertices joined by a path long enough to close a forbidden cycle through
 the new vertex (one path search).  Each extension then costs one AND for
 the matching and one lookup per neighbour for the cycles.
 
-Two exact filters drop most extensions before their canonical form: the
-new vertex must have the largest key (degree, then sorted neighbour
-degrees) of the extension, and its neighbourhood takes the
-lowest-labelled members of each class of open or closed twins of the
-parent.  _augmentations shows that they lose no class; the
-canonical-form set still removes the duplicates they let through.  Every
-filter only drops extensions, so they run cheapest first.
-
 One loop, _new_classes, extends a list of parents and counts K_r: the
 K_r count of an extension is the parent's count plus the (r-1)-cliques
 in the new vertex's neighbourhood, an extension below the best count
 seen so far is dropped before its family test, a parent's test is built
 only once one of its extensions reaches that count, and only the
-family-free extensions that reach it are canonicalised.  _grow_classes
-runs it on each level with r = size + 1: no graph on size vertices has
-a K_{size+1}, so every extension ties at 0 and every class is kept.
-brute_force_ex runs it with the family's r on the classes on n - 1
-vertices, without keeping the last level.  For jobs > 1 brute_force_ex
-splits those parents over processes and merges the canonical forms as
-sets, so maxima, witness sets and the examined counter are identical
-regardless of parallelism; only the witnesses reported become graph6.
-
-Witnesses are reported in canonical form: the lexicographically minimal
-adjacency bit encoding over all vertex permutations, which is also the
-minimal graph6 body.  canonical_encoding finds it without touching all n!
-permutations, by a search over vertex placements that holds the unplaced
-vertices as an ordered partition into cells of equal adjacency toward the
-placed ones (in the spirit of McKay and Piperno, Practical graph
-isomorphism II, 2014).  Only the first cell is branched on, its twins
-once each, and a placement whose encoding prefix exceeds the best found
-is cut before it splits the cells; none of these rules can lose the
-minimum.  The extremal graphs are block-stars, made of cliques of closed
-twins and classes of open twins, so the twin rule removes most of their
-search.
+family-free extensions that reach it are tested for minimality.
+_grow_classes runs it on each level with r = size + 1, which no
+extension reaches, so every class ties at 0, is kept, and counts no
+clique.  brute_force_ex runs it with the family's r on the classes on
+n - 1 vertices.  For jobs > 1 it splits those parents over processes;
+each class has one minimal parent, so maxima, witness sets and the
+examined counter are identical regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ from .graphs import (
     twin_masks,
     twin_partition,
 )
-from .graph_io import graph6_masks, graph6_string, to_graph6
+from .graph_io import graph6_body, graph6_masks, graph6_string, to_graph6
 from .matching import gallai_edmonds_set, max_matching
 
 # perfbench/tracer.py rebinds these names in this module, which does not
@@ -95,18 +94,46 @@ _WITNESS_CAP = 100
 
 
 def canonical_encoding(graph: Graph) -> int:
-    """Minimal adjacency encoding over all relabelings: the graph6 body
-    (graph_io.graph6_string) of the relabeling whose body is least.
+    """Minimal adjacency encoding over all relabelings, by _cell_search:
+    the graph6 body (graph_io.graph6_string) of the relabeling whose body
+    is least.  Read from the top, the body holds, for each position
+    j = 1..n-1, the j adjacency bits of position j toward positions 0..j-1.
 
-    Read from the top, the body holds, for each position j = 1..n-1, the
-    j adjacency bits of position j toward positions 0..j-1.
+    There is no size limit or budget, and the time is exponential on
+    sparse graphs without twins: minimum codes place an independent set
+    first, and a long cycle has very many orderings of one (the cycle C_n
+    takes 0.1 s at n = 14, 1.1 s at n = 16 and 14 s at n = 18).
+    """
+    n = graph.n
+    if n <= 1:
+        return 0
+    masks = graph.adjacency_masks
+    return _cell_search(masks, twin_masks(masks), 1 << (n * (n - 1) // 2), False)
 
-    The search places vertices at positions 0, 1, ...; placing a vertex at
-    position j makes its code (adjacency toward the placed ones, the first
-    placed on top) the entry of position j.  A node holds the unplaced
-    vertices as an ordered partition, cells (mask, code) by increasing
-    code; placing v splits each cell into the non-neighbours of v
-    (code << 1), then the neighbours (code << 1 | 1), which keeps the
+
+def _is_minimal(masks: list[int], twins: list[int], body: int) -> bool:
+    """Whether body, the encoding of the graph with adjacency masks masks
+    under its own labels, is minimal: no prefix of _cell_search is below."""
+    return len(masks) <= 1 or _cell_search(masks, twins, body, True) == body
+
+
+def _cell_search(
+    masks: tuple[int, ...] | list[int], twins: list[int], best: int, stop: bool
+) -> int:
+    """The least encoding of the graph with adjacency masks masks (n >= 2
+    vertices) if it is below best, else best.  With stop, it returns at
+    the first placement whose prefix is below best's: that prefix padded
+    with zeros, below best but not always the least.  twins[v] masks a
+    class of twins holding v, of a partition finer than or equal to
+    graphs.twin_partition's (twin_masks gives that partition itself).
+
+    The search (in the spirit of McKay and Piperno, Practical graph
+    isomorphism II, 2014) places vertices at positions 0, 1, ...; placing
+    a vertex at position j makes its code (adjacency toward the placed
+    ones, the first placed on top) the entry of position j.  A node holds
+    the unplaced vertices as an ordered partition, cells (mask, code) by
+    increasing code; placing v splits each cell into the non-neighbours of
+    v (code << 1), then the neighbours (code << 1 | 1), which keeps the
     order.  Three rules prune, none of which can discard the minimum:
 
     * only the first cell, of minimum code, is branched on: the next
@@ -120,22 +147,13 @@ def canonical_encoding(graph: Graph) -> int:
       before the cells are split: its entry is the split code of the first
       cell left, the parent's first cell or else its second.
 
-    The search walks an explicit stack of nodes (j, prefix, cells,
-    untried), so n has no recursion depth limit (K_1500 takes 0.1 s).
-
-    There is no size limit or budget, and the time is exponential on
-    sparse graphs without twins: minimum codes place an independent set
-    first, and a long cycle has very many orderings of one (the cycle C_n
-    takes 0.1 s at n = 14, 1.1 s at n = 16 and 14 s at n = 18).  The
-    oracle calls it only on the classes its budget admits (_ORACLE_BUDGET).
+    So the minimum lies below a placement the search makes, and if it is
+    below best, that placement's prefix is below best's.  The search walks
+    an explicit stack of nodes (j, prefix, cells, untried), so n has no
+    recursion depth limit (K_1500 takes 0.1 s).
     """
-    n = graph.n
-    if n <= 1:
-        return 0
-    masks = graph.adjacency_masks
-    twins = twin_masks(masks)
+    n = len(masks)
     width = n * (n - 1) // 2
-    best = 1 << width  # above every encoding
 
     # the current node: position j, its prefix << (j + 1), cells, untried
     j, prefix, cells, untried = 0, 0, [((1 << n) - 1, 0)], (1 << n) - 1
@@ -143,6 +161,7 @@ def canonical_encoding(graph: Graph) -> int:
     while True:
         first, low_code = cells[0]
         shift = width - (j + 1) * (j + 2) // 2
+        bound = best >> shift  # best's prefix up to position j + 1
         while untried:
             low = untried & -untried
             v = low.bit_length() - 1
@@ -151,10 +170,12 @@ def canonical_encoding(graph: Graph) -> int:
             off = ~(on | low)  # the non-neighbours of v, v excluded
             cell, code = (first ^ low, low_code) if first ^ low else cells[1]
             child = prefix | (code << 1 if cell & off else code << 1 | 1)
-            if child > best >> shift:
+            if child > bound:
                 continue
-            if j + 2 == n:  # a leaf: every position is placed
-                best = child
+            if stop and child < bound:
+                return child << shift
+            if j + 2 == n:  # a leaf: every position is placed, shift is 0
+                best = bound = child
                 continue
             split = []
             for cell, code in cells:
@@ -195,15 +216,10 @@ def canonical_graph6(graph: Graph) -> str:
 
 
 def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
-    """Every family-free graph on n vertices, once per isomorphism class.
-
-    Grows graphs one vertex at a time (freeness is inherited by induced
-    subgraphs) with canonical-form deduplication at each level; only the
-    extensions that pass the parent's family test (_free_extension_test)
-    and the exact filters of _augmentations are canonicalised.  Yields
-    canonical graphs in encoding order.  Raises OracleSizeError before a
-    level passes _ORACLE_BUDGET.
-    """
+    """Every family-free graph on n vertices, once per isomorphism class,
+    canonical and in encoding order, by orderly generation (see the module
+    docstring).  Raises OracleSizeError before a level passes
+    _ORACLE_BUDGET."""
     _charge(0, 1, n)
     yield from _grow_classes(n, family)[0]
 
@@ -228,137 +244,105 @@ def _charge(tried: int, classes: int, size: int) -> int:
 def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
     """The canonical family-free graphs on n >= 0 vertices in encoding
     order, and the one-vertex extensions tried to grow them (the filtered
-    ones included).
-
-    Each level is _charge'd first, then grown from the one below by
-    _new_classes counting K_{size+1}, which no extension has, so every
-    class ties at 0 and is kept."""
+    ones included).  Each level is _charge'd first, then grown from the one
+    below by _new_classes counting K_{size+1}, so every class is kept."""
     level = [Graph(0)]
     tried = 0
     for size in range(1, n + 1):
         tried = _charge(tried, len(level), size)
         _, found = _new_classes(level, family, size + 1)
-        level = [graph_from_encoding(key, size) for key in sorted(found)]
+        level = [Graph._trusted(masks) for _, masks in sorted(found)]
     return level, tried
 
 
 def _new_classes(
     parents: list[Graph], family: ForbiddenFamily, r: int
-) -> tuple[int, set[int]]:
+) -> tuple[int, list[tuple[int, list[int]]]]:
     """The largest K_r count over the family-free one-vertex extensions of
-    parents, and the canonical encodings of the extensions that reach it.
+    the canonical graphs parents, and the minimal extensions that reach
+    it, as (body, adjacency masks) in no order.
 
-    Each parent's neighbourhoods are walked from the largest down, so the
-    best count rises early, and each passes, cheapest first, the filters of
-    _augmentations, the count cut (below the best count so far), the
-    parent's family test (_free_extension_test, built on the first
-    extension that passes the cut, so a parent none of whose extensions
-    reaches the count pays for no test) and _keeps_new_vertex; only the
-    extensions left are canonicalised.  The filters lose no class.  When
-    the parents are split over processes, a class C is found by the
-    process holding the parent C - v that the argument of _augmentations
-    names."""
+    Each parent's neighbourhoods come from _columns, from the largest
+    down, so the best count rises early, and each passes, cheapest first,
+    the count cut (below the best count so far), the parent's family test
+    (_free_extension_test, built on the first extension that passes the
+    cut) and _is_minimal.  No clique is counted where none can be: a
+    parent on fewer than r vertices has no K_r, and a neighbourhood of
+    fewer than r - 1 vertices no K_{r-1}."""
     best = -1
-    found: set[int] = set()
+    found = []
     for parent in parents:
         base = parent.adjacency_masks
-        degrees = [m.bit_count() for m in base]
-        inherited = count_cliques(parent, r)
+        m = len(base)
+        body = graph6_body(parent) << m
+        inherited = count_cliques(parent, r) if r <= m else 0
+        partition = chain(*twin_partition(base))
+        classes = [sum(1 << v for v in c) for c in partition if len(c) > 1]
         free = None
-        for nbr in _augmentations(base, degrees):
-            count = inherited + count_cliques_in_mask(base, nbr, r - 1)
+        for nbr in _columns(base, classes):
+            count = inherited
+            if nbr.bit_count() >= r - 1:
+                count += count_cliques_in_mask(base, nbr, r - 1)
             if count < best:
                 continue
             if free is None:
                 free = _free_extension_test(parent, family)
-            if not (free(nbr) and _keeps_new_vertex(base, degrees, nbr)):
+            if not free(nbr):
+                continue
+            key = body | int(format(nbr, f"0{m}b")[::-1], 2)
+            masks, twins = _extension(base, classes, nbr)
+            if not _is_minimal(masks, twins, key):
                 continue
             if count > best:
                 best = count
                 found.clear()
-            found.add(canonical_encoding(Graph._trusted(_extension_masks(base, nbr))))
+            found.append((key, masks))
     return best, found
 
 
-def _augmentations(base: tuple[int, ...], degrees: list[int]) -> Iterator[int]:
-    """The neighbourhoods (masks below len(base), from the largest down)
-    whose extensions of the graph with adjacency masks base and vertex
-    degrees degrees pass the cheap parts of two exact filters, which
-    together lose no class:
-
-    * canonical deletion by invariant: the new vertex w has the largest
-      deletion key of the extension, ties kept (_keeps_new_vertex).  As w
-      gets degree |nbr| and every parent vertex keeps at least its degree,
-      only |nbr| >= the parent's maximum degree is tested here; the
-      caller runs _keeps_new_vertex itself last, after cheaper tests;
-    * parent twin rule: within each open or closed class of twins of the
-      parent (graphs.twin_partition), nbr takes the lowest-labelled
-      members (_takes_lowest_twins).
-
-    A class C has a vertex v of largest key, and C - v is family-free
-    (freeness is inherited by induced subgraphs), so it is a parent, and
-    its extension that recreates v passes the first filter.  Swapping two
-    twins of the parent is an automorphism that fixes w and maps one
-    neighbourhood onto the other, so moving that neighbourhood onto the
-    lowest twins gives an isomorphic extension in which w has the same
-    key; it passes both.  Duplicates pass too: the caller's set of
-    canonical forms removes them, so no orbits are needed.  Every filter
-    only drops extensions, so their order does not change the result.
-    """
-    floor = max(degrees, default=0)
-    twins = chain(*twin_partition(base))
-    classes = [sum(1 << v for v in c) for c in twins if len(c) > 1]
+def _columns(base: tuple[int, ...], classes: list[int]) -> Iterator[int]:
+    """The neighbourhoods nbr (masks below len(base), from the largest
+    down) of a new last vertex of the canonical graph with adjacency masks
+    base that pass column dominance and take the highest twins of each of
+    classes, its twin classes of two or more (see the module docstring).
+    Columns compare from vertex 0 down: a mask a is above b iff the lowest
+    bit of a ^ b is in a.  So nbr passes iff it is not below floor, the
+    largest column, and misses no member of a class above one it takes."""
+    floor = 0
+    for x in range(1, len(base)):
+        column = base[x] & ((1 << x) - 1)
+        diff = column ^ floor
+        if column & diff & -diff:
+            floor = column
     for nbr in range((1 << len(base)) - 1, -1, -1):
-        if nbr.bit_count() >= floor and _takes_lowest_twins(classes, nbr):
+        diff = nbr ^ floor
+        if diff and not nbr & diff & -diff:
+            continue
+        for members in classes:
+            taken = nbr & members
+            if members & ~nbr & -(taken & -taken):
+                break
+        else:
             yield nbr
 
 
-def _deletion_key(
-    masks: tuple[int, ...] | list[int], degrees: list[int], v: int
-) -> tuple[int, list[int]]:
-    """The invariant that picks the canonical deletion vertex: the degree
-    of v and the sorted degrees of its neighbours (degrees[u] is the
-    degree of u in the graph with adjacency masks masks)."""
-    return degrees[v], sorted(degrees[u] for u in _iter_bits(masks[v]))
-
-
-def _keeps_new_vertex(base: tuple[int, ...], degrees: list[int], nbr: int) -> bool:
-    """Whether the vertex w = len(base), joined to the vertices of nbr, has
-    the largest _deletion_key in that extension of the graph with
-    adjacency masks base and vertex degrees degrees (ties count as
-    largest).  Decided from the parent's degrees: w adds one to the degree
-    of each of its neighbours."""
-    w = len(base)
-    width = nbr.bit_count()
-    ext = [d + ((nbr >> v) & 1) for v, d in enumerate(degrees)]
-    if max(ext, default=0) > width:
-        return False
-    ties = [v for v in range(w) if ext[v] == width]
-    if not ties:
-        return True
-    ext.append(width)
-    masks = _extension_masks(base, nbr)
-    own = _deletion_key(masks, ext, w)
-    return all(_deletion_key(masks, ext, v) <= own for v in ties)
-
-
-def _takes_lowest_twins(classes: list[int], nbr: int) -> bool:
-    """Whether nbr takes the lowest-labelled members of each class in
-    classes (disjoint masks): no member it misses lies below its highest
-    member of that class."""
-    for members in classes:
-        if members & ~nbr & ((1 << (nbr & members).bit_length()) - 1):
-            return False
-    return True
-
-
-def _extension_masks(base: tuple[int, ...], nbr: int) -> list[int]:
-    """Adjacency masks base plus one new vertex, labelled len(base), joined
-    to the vertices in the mask nbr (below len(base))."""
+def _extension(
+    base: tuple[int, ...], classes: list[int], nbr: int
+) -> tuple[list[int], list[int]]:
+    """Adjacency masks base plus a vertex w = len(base) joined to the mask
+    nbr, and twins for _cell_search: each parent class in classes split
+    into its members in nbr and the rest, as w sees the members of a part
+    alike, and w alone (leaving out its twins only prunes less)."""
     new_bit = 1 << len(base)
     masks = [m | new_bit if (nbr >> v) & 1 else m for v, m in enumerate(base)]
     masks.append(nbr)
-    return masks
+    twins = [1 << v for v in range(len(masks))]
+    for members in classes:
+        for part in (members & nbr, members & ~nbr):
+            if part & (part - 1):  # two or more
+                for v in _iter_bits(part):
+                    twins[v] = part
+    return masks, twins
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +499,9 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
         else:
             results = [_new_classes(shares[0], family, r)]
         best = max(top for top, _ in results)
-        keys = set().union(*(found for top, found in results if top == best))
+        keys = sorted(key for top, found in results if top == best for key, _ in found)
         # for one n, graph6 strings sort as their bodies do
-        witnesses = [graph6_string(n, key) for key in sorted(keys)[:_WITNESS_CAP]]
+        witnesses = [graph6_string(n, key) for key in keys[:_WITNESS_CAP]]
     return OracleResult(
         n=n,
         family=family,

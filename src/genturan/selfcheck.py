@@ -32,7 +32,7 @@ from .formulas import (
 from .graphs import Graph, count_cliques, count_cliques_in_mask
 from .graph_io import from_graph6, to_graph6
 from .matching import berge_tutte_certificate, max_matching
-from .oracle import brute_force_ex, canonical_graph6
+from .oracle import brute_force_ex, canonical_graph6, enumerate_family_free
 
 
 def _check_tau() -> None:
@@ -125,6 +125,14 @@ def _check_oracle() -> None:
     res = brute_force_ex(5, ForbiddenFamily(cycle_min_len=4))
     assert res.max_count == woodall_bound(5, 4) == 6
     assert canonical_graph6(build_woodall_G0(5, 4)) in res.witnesses
+    # classes of graphs (OEIS A000088) and of forests (OEIS A005195)
+    for family, counts in (
+        (ForbiddenFamily(), [1, 2, 4, 11, 34, 156]),
+        (ForbiddenFamily(cycle_min_len=3), [1, 2, 3, 6, 10, 20, 37, 76]),
+    ):
+        for n, count in enumerate(counts, 1):
+            found = len(list(enumerate_family_free(n, family)))
+            assert found == count, f"{found} classes of {family} on {n}, not {count}"
 
 
 def _check_io() -> None:

@@ -20,6 +20,7 @@ from genturan import (
 )
 from genturan.matching import _component_sizes as _linear_component_sizes
 from genturan.matching import (
+    _greedy_matching,
     _validate_certificate,
     gallai_edmonds_set,
     has_matching_of_size,
@@ -84,6 +85,18 @@ class TestMaxMatching:
             n = rng.randrange(2, 13)
             g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
             assert max_matching(g) == max_matching_by_enumeration(g)
+
+    def test_greedy_start_matches_pendants(self):
+        # K_m, labelled first, with a pendant at each clique vertex: visited
+        # by label the clique vertices would pair off and leave every
+        # pendant exposed; by increasing degree each pendant takes its
+        # clique vertex, and the blossom starts from a perfect matching
+        for m in (2, 3, 10, 101):
+            clique = (1 << m) - 1
+            adj = tuple(clique ^ 1 << v | 1 << (m + v) for v in range(m))
+            adj += tuple(1 << v for v in range(m))
+            match = _greedy_matching(adj, 2 * m)
+            assert match == [m + v for v in range(m)] + list(range(m))
 
     def test_enumeration_oracle_size_limit(self):
         with pytest.raises(SizeLimitError):

@@ -34,13 +34,12 @@ from genturan.cycles import circumference_by_enumeration
 from genturan.graphs import twin_masks, twin_partition
 from genturan.matching import max_matching_by_enumeration
 from genturan import oracle as oracle_module
+from genturan.graph_io import graph6_body
 from genturan.oracle import (
-    _augmentations,
-    _deletion_key,
+    _columns,
     _free_extension_test,
     _grow_classes,
-    _keeps_new_vertex,
-    _takes_lowest_twins,
+    _is_minimal,
     _worker_count,
     canonical_encoding,
     graph_from_encoding,
@@ -271,6 +270,7 @@ class TestEnumerateFamilyFree:
         # OEIS A000088
         assert len(list(enumerate_family_free(6, fam))) == 156
         assert len(list(enumerate_family_free(7, fam))) == 1044
+        assert len(list(enumerate_family_free(8, fam))) == 12346
 
     def test_forest_counts(self):
         # unlabelled forests on n = 1..9 vertices, OEIS A005195
@@ -320,18 +320,6 @@ def _unfiltered_levels(n: int, family: ForbiddenFamily) -> list[tuple[list[Graph
     return levels
 
 
-def _degrees(g: Graph) -> list[int]:
-    return [g.degree(v) for v in range(g.n)]
-
-
-@st.composite
-def _parents_and_neighbourhoods(draw, max_n: int = 7):
-    """A parent graph, one with open and closed twins half of the time,
-    and a neighbourhood mask for a new vertex."""
-    parent = draw(st.one_of(graphs(max_n=max_n), _graphs_with_twin_classes(max_n)))
-    return parent, draw(st.integers(0, (1 << parent.n) - 1))
-
-
 def _extension(parent: Graph, nbr: int) -> Graph:
     w = parent.n
     joins = [(v, w) for v in range(w) if (nbr >> v) & 1]
@@ -348,62 +336,113 @@ class TestAugmentationFilters:
                 for n, (level, tried) in enumerate(_unfiltered_levels(6, family), 1):
                     assert _grow_classes(n, family) == (level, tried), (n, family)
 
-    @settings(max_examples=200, deadline=None)
-    @given(graphs(max_n=8), st.randoms(use_true_random=False))
-    def test_deletion_key_is_invariant(self, g, rng):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        h = g.relabeled(perm)
-        for v in range(g.n):
-            assert _deletion_key(g.adjacency_masks, _degrees(g), v) == _deletion_key(
-                h.adjacency_masks, _degrees(h), perm[v]
-            )
 
-    @settings(max_examples=200, deadline=None)
-    @given(_parents_and_neighbourhoods())
-    def test_new_vertex_has_largest_key(self, case):
-        # the filter reads the key off the parent; rebuild the extension
-        parent, nbr = case
-        h = _extension(parent, nbr)
-        keys = [_deletion_key(h.adjacency_masks, _degrees(h), v) for v in range(h.n)]
-        expected = keys[parent.n] == max(keys)
-        assert _keeps_new_vertex(parent.adjacency_masks, _degrees(parent), nbr) == expected
+def _twin_classes(masks) -> list[int]:
+    """The masks of the twin classes of two or more."""
+    return [
+        sum(1 << v for v in c) for c in chain(*twin_partition(masks)) if len(c) > 1
+    ]
 
-    def test_twin_rule_covers_open_and_closed_classes(self):
-        # K_2 plus two isolated vertices: closed class {0, 1}, open class {2, 3};
-        # nbr takes {}, {0} or {0, 1} of the one and {}, {2} or {2, 3} of the
-        # other, and at least one vertex (the parent's maximum degree)
-        base = Graph(4, [(0, 1)]).adjacency_masks
-        kept = sorted(_augmentations(base, [1, 1, 0, 0]))
-        assert kept == [0b0001, 0b0011, 0b0100, 0b0101, 0b0111, 0b1100, 0b1101, 0b1111]
 
-    @settings(max_examples=200, deadline=None)
-    @given(_parents_and_neighbourhoods())
-    def test_twin_representative_is_isomorphic(self, case):
-        parent, nbr = case
-        classes = [
-            sum(1 << v for v in c)
-            for c in chain(*twin_partition(parent.adjacency_masks))
-            if len(c) > 1
-        ]
+@cache
+def _canonical_bodies(n: int) -> list[int]:
+    """The canonical encodings of the graphs on n vertices, each found by
+    canonical_encoding from a one-vertex extension of a class on n - 1."""
+    if n <= 1:
+        return [0]
+    return sorted(
+        {
+            canonical_encoding(_extension(graph_from_encoding(key, n - 1), nbr))
+            for key in _canonical_bodies(n - 1)
+            for nbr in range(1 << (n - 1))
+        }
+    )
 
-        def representative(nbr):
-            # nbr with its members of each class moved onto the lowest ones
-            for members in classes:
-                taken = [v for v in range(parent.n) if (members >> v) & 1]
-                taken = taken[: (members & nbr).bit_count()]
-                nbr = nbr & ~members | sum(1 << v for v in taken)
-            return nbr
 
-        rep = representative(nbr)
-        assert rep.bit_count() == nbr.bit_count()
-        for other in range(1 << parent.n):
-            fixed = representative(other) == other
-            assert _takes_lowest_twins(classes, other) == fixed
-        assert _takes_lowest_twins(classes, rep)
-        assert canonical_encoding(_extension(parent, rep)) == canonical_encoding(
-            _extension(parent, nbr)
-        )
+def _column(mask: int, x: int) -> int:
+    """mask on the vertices 0..x-1 as a column: vertex 0 on top."""
+    return int(format(mask & ((1 << x) - 1), f"0{x}b")[::-1], 2) if x else 0
+
+
+class TestOrderlyGeneration:
+    def test_minimality_test_on_every_small_graph(self):
+        # every labelled graph on n <= 6 vertices: minimal iff its own body
+        # is its canonical encoding
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+                body = graph6_body(g)
+                masks = list(g.adjacency_masks)
+                minimal = _is_minimal(masks, twin_masks(masks), body)
+                assert minimal == (canonical_encoding(g) == body), (n, mask)
+
+    def test_minimality_test_on_random_graphs_and_relabelings(self):
+        # also with the twins _extension gives a parent's extension: the
+        # parent's classes split by the last vertex's neighbourhood
+        rng = random.Random(31)
+        for n in range(2, 11):
+            for density in (0.2, 0.5, 0.8):
+                for _ in range(4):
+                    g = random_graph(rng, n, density)
+                    key = canonical_encoding(g)
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    for h in (g, g.relabeled(perm), graph_from_encoding(key, n)):
+                        body = graph6_body(h)
+                        masks = list(h.adjacency_masks)
+                        base = tuple(m & ~(1 << (n - 1)) for m in masks[:-1])
+                        _, split = oracle_module._extension(
+                            base, _twin_classes(base), masks[-1]
+                        )
+                        for twins in (twin_masks(masks), split):
+                            assert _is_minimal(masks, twins, body) == (key == body)
+
+    def test_canonical_graphs_keep_both_rules(self):
+        # every canonical graph on n <= 7 vertices, found without the
+        # orderly engine: the parent G - (n-1) is canonical, and the last
+        # column passes column dominance and takes the highest members of
+        # each twin class of the parent
+        assert len(_canonical_bodies(7)) == 1044  # OEIS A000088
+        for n in range(1, 8):
+            for key in _canonical_bodies(n):
+                g = graph_from_encoding(key, n)
+                m = n - 1
+                base = tuple(mask & ~(1 << m) for mask in g.adjacency_masks[:m])
+                parent = Graph._trusted(list(base))
+                assert canonical_encoding(parent) == graph6_body(parent)
+                nbr = g.adjacency_masks[m]
+                for x in range(1, m):
+                    assert _column(nbr, x) >= _column(base[x], x), (g, x)
+                for members in chain(*twin_partition(base)):
+                    taken = [v for v in members if (nbr >> v) & 1]
+                    assert taken == members[len(members) - len(taken):], g
+                assert nbr in set(_columns(base, _twin_classes(base)))
+
+    def test_columns_of_an_open_and_a_closed_class(self):
+        # 2K_1 + K_2, canonical: open class {0, 1}, closed class {2, 3}.
+        # nbr takes {}, {1} or {0, 1} of the one and {}, {3} or {2, 3} of
+        # the other, and its column, read from vertex 0, is not below
+        # column 3, which holds vertex 2 alone
+        base = Graph(4, [(2, 3)]).adjacency_masks
+        kept = sorted(_columns(base, _twin_classes(base)))
+        assert kept == [0b0010, 0b0011, 0b1010, 0b1011, 0b1100, 0b1110, 0b1111]
+
+    def test_oracle_never_canonicalises(self, monkeypatch):
+        # a worker process started by fork inherits the patch and raises
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            raise AssertionError("canonical_encoding called")
+
+        monkeypatch.setattr(oracle_module, "canonical_encoding", counted)
+        family = ForbiddenFamily(cycle_min_len=4, matching_bound=2)
+        list(enumerate_family_free(7, family))
+        for jobs in (1, 2):
+            brute_force_ex(7, family, jobs=jobs)
+            brute_force_ex(6, ForbiddenFamily(clique_order=7), jobs=jobs)
+        assert calls == []
 
 
 @st.composite
