@@ -42,18 +42,17 @@ vertices joined by a path long enough to close a forbidden cycle through
 the new vertex (one path search).  Each extension then costs one AND for
 the matching and one lookup per neighbour for the cycles.
 
-One loop, _new_classes, extends a list of parents and counts K_r: the
-K_r count of an extension is the parent's count plus the (r-1)-cliques
-in the new vertex's neighbourhood, an extension below the best count
-seen so far is dropped before its family test, a parent's test is built
-only once one of its extensions reaches that count, and only the
-family-free extensions that reach it are tested for minimality.
-_grow_classes runs it on each level with r = size + 1, which no
-extension reaches, so every class ties at 0, is kept, and counts no
-clique.  brute_force_ex runs it with the family's r on the classes on
-n - 1 vertices.  For jobs > 1 it splits those parents over processes;
-each class has one minimal parent, so maxima, witness sets and the
-examined counter are identical regardless of parallelism.
+One function, _new_classes, extends a list of parents and counts K_r:
+the K_r count of an extension is the parent's count plus the
+(r-1)-cliques in the new vertex's neighbourhood, an extension below the
+best count seen so far is dropped before its family test, a parent's test
+is built only once one of its extensions reaches that count, and only the
+family-free extensions that reach it are tested for minimality.  One loop,
+_levels, runs it on every level: with r = size + 1 below n, which no
+extension reaches, so every class ties at 0 and is kept, and with the
+family's r at n.  For jobs > 1 it deals the parents of every level over
+processes; each class has one minimal parent, so maxima, witness sets and
+the examined counter are identical regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from .graphs import (
     twin_masks,
     twin_partition,
 )
-from .graph_io import graph6_body, graph6_masks, graph6_string, to_graph6
+from .graph_io import graph6_masks, graph6_string, to_graph6
 from .matching import gallai_edmonds_set, max_matching
 
 # perfbench/tracer.py rebinds these names in this module, which does not
@@ -221,7 +220,7 @@ def enumerate_family_free(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
     docstring).  Raises OracleSizeError before a level passes
     _ORACLE_BUDGET."""
     _charge(0, 1, n)
-    yield from _grow_classes(n, family)[0]
+    yield from (Graph._trusted(masks) for _, masks in _levels(n, family, n + 1, 1)[1])
 
 
 def _charge(tried: int, classes: int, size: int) -> int:
@@ -241,26 +240,42 @@ def _charge(tried: int, classes: int, size: int) -> int:
     return tried + (classes << (size - 1))
 
 
-def _grow_classes(n: int, family: ForbiddenFamily) -> tuple[list[Graph], int]:
-    """The canonical family-free graphs on n >= 0 vertices in encoding
-    order, and the one-vertex extensions tried to grow them (the filtered
-    ones included).  Each level is _charge'd first, then grown from the one
-    below by _new_classes counting K_{size+1}, so every class is kept."""
-    level = [Graph(0)]
-    tried = 0
-    for size in range(1, n + 1):
-        tried = _charge(tried, len(level), size)
-        _, found = _new_classes(level, family, size + 1)
-        level = [Graph._trusted(masks) for _, masks in sorted(found)]
-    return level, tried
+def _levels(
+    n: int, family: ForbiddenFamily, r: int, jobs: int
+) -> tuple[int, list[tuple[int, list[int]]], int]:
+    """The largest K_r count over the canonical family-free graphs on
+    n >= 1 vertices, the classes that reach it as (body, adjacency masks)
+    in encoding order, and the one-vertex extensions tried to grow them.
+    Below n a level counts K_{size+1}, so every class is kept.  Each level
+    is _charge'd, then its parents, dense ones first so that the best count
+    rises early, are dealt round-robin over _worker_count processes."""
+    level, examined, pool = [(0, [])], 0, None
+    try:
+        for size in range(1, n + 1):
+            examined = _charge(examined, len(level), size)
+            workers = _worker_count(jobs, len(level))
+            if workers > 1 and pool is None:  # one per query, sized for any level
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(_worker_count(jobs, jobs))
+            shares = [level[-1 - i :: -workers] for i in range(workers)]
+            k = r if size == n else size + 1
+            run = pool.map if workers > 1 else map
+            results = list(run(_new_classes, shares, [family] * workers, [k] * workers))
+            best = max(top for top, _ in results)
+            level = sorted(c for top, found in results if top == best for c in found)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return best, level, examined
 
 
 def _new_classes(
-    parents: list[Graph], family: ForbiddenFamily, r: int
+    parents: list[tuple[int, list[int]]], family: ForbiddenFamily, r: int
 ) -> tuple[int, list[tuple[int, list[int]]]]:
     """The largest K_r count over the family-free one-vertex extensions of
-    the canonical graphs parents, and the minimal extensions that reach
-    it, as (body, adjacency masks) in no order.
+    parents, canonical graphs as (body, adjacency masks), and the minimal
+    extensions that reach it, in the same form and in no order.
 
     Each parent's neighbourhoods come from _columns, from the largest
     down, so the best count rises early, and each passes, cheapest first,
@@ -271,10 +286,9 @@ def _new_classes(
     fewer than r - 1 vertices no K_{r-1}."""
     best = -1
     found = []
-    for parent in parents:
-        base = parent.adjacency_masks
+    for body, base in parents:
+        parent = Graph._trusted(base)
         m = len(base)
-        body = graph6_body(parent) << m
         inherited = count_cliques(parent, r) if r <= m else 0
         partition = chain(*twin_partition(base))
         classes = [sum(1 << v for v in c) for c in partition if len(c) > 1]
@@ -289,7 +303,7 @@ def _new_classes(
                 free = _free_extension_test(parent, family)
             if not free(nbr):
                 continue
-            key = body | int(format(nbr, f"0{m}b")[::-1], 2)
+            key = body << m | int(format(nbr, f"0{m}b")[::-1], 2)
             masks, twins = _extension(base, classes, nbr)
             if not _is_minimal(masks, twins, key):
                 continue
@@ -482,26 +496,9 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
         best = count_cliques(complete, r)
         witnesses, examined = [to_graph6(complete)], 0
     else:
-        parents, examined = _grow_classes(n - 1, family)
-        examined = _charge(examined, len(parents), n)
-        # dense parents first, so the best count rises early and most
-        # extensions are dropped before their family test
-        parents.reverse()
-        workers = _worker_count(jobs, len(parents))
-        shares = [parents[i::workers] for i in range(workers)]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(_new_classes, shares, [family] * workers, [r] * workers)
-                )
-        else:
-            results = [_new_classes(shares[0], family, r)]
-        best = max(top for top, _ in results)
-        keys = sorted(key for top, found in results if top == best for key, _ in found)
+        best, classes, examined = _levels(n, family, r, jobs)
         # for one n, graph6 strings sort as their bodies do
-        witnesses = [graph6_string(n, key) for key in keys[:_WITNESS_CAP]]
+        witnesses = [graph6_string(n, body) for body, _ in classes[:_WITNESS_CAP]]
     return OracleResult(
         n=n,
         family=family,
@@ -514,8 +511,11 @@ def brute_force_ex(n: int, family: ForbiddenFamily, *, jobs: int = 1) -> OracleR
 
 def _worker_count(jobs: int, parents: int) -> int:
     """Worker processes for `jobs` requested: at least one, and no more
-    than there are parent classes to extend or CPUs to run them."""
-    return max(1, min(jobs, parents, os.cpu_count() or 1))
+    than there are parent classes to extend or CPUs to run them (those of
+    the process's affinity mask where os reports one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(jobs, parents, cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,6 @@ class RegionReport:
     parity: str
     rows: tuple[RegionRow, ...]
     first_agreement_n: int | None
-
 
 
 def verify_formula_region(

@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import random
+import subprocess
+import sys
 from functools import cache
 from itertools import chain, combinations, permutations
 
@@ -38,8 +40,8 @@ from genturan.graph_io import graph6_body
 from genturan.oracle import (
     _columns,
     _free_extension_test,
-    _grow_classes,
     _is_minimal,
+    _levels,
     _worker_count,
     canonical_encoding,
     graph_from_encoding,
@@ -328,13 +330,19 @@ def _extension(parent: Graph, nbr: int) -> Graph:
 
 class TestAugmentationFilters:
     def test_filtered_levels_against_unfiltered(self):
-        # the canonical-deletion and twin filters lose no class and keep
-        # counting every extension they drop
+        # column dominance, the highest twins and the minimality test lose
+        # no class, and the extensions they drop are still counted; the
+        # bodies carried with the classes are theirs
         for k_c in (None, 3, 4, 5, 6):
             for s in (None, 0, 1, 2, 3):
                 family = ForbiddenFamily(cycle_min_len=k_c, matching_bound=s)
                 for n, (level, tried) in enumerate(_unfiltered_levels(6, family), 1):
-                    assert _grow_classes(n, family) == (level, tried), (n, family)
+                    best, classes, examined = _levels(n, family, n + 1, 1)
+                    grown = [Graph._trusted(masks) for _, masks in classes]
+                    assert (best, grown, examined) == (0, level, tried), (n, family)
+                    assert [body for body, _ in classes] == [
+                        graph6_body(g) for g in level
+                    ]
 
 
 def _twin_classes(masks) -> list[int]:
@@ -491,6 +499,25 @@ class TestFreeExtensionTest:
         assert checked == []
 
 
+def _record_parents(monkeypatch, path) -> None:
+    """Append "pid order" to path for every parent whose extensions are
+    family-tested.  A forked worker (the default start method on Linux
+    through Python 3.13) inherits the hook and writes to the same file,
+    which a list in this process would not see."""
+    real = oracle_module._free_extension_test
+
+    def record(parent, family):
+        with open(path, "a") as out:
+            out.write(f"{os.getpid()} {parent.n}\n")
+        return real(parent, family)
+
+    monkeypatch.setattr(oracle_module, "_free_extension_test", record)
+
+
+def _recorded(path) -> list[tuple[int, int]]:
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
 class TestBruteForce:
     def test_search_against_enumeration(self):
         # every labelled graph on n <= 5 vertices, freeness decided by
@@ -595,7 +622,9 @@ class TestBruteForce:
             assert res.witnesses == tuple(every[:100])
 
     def test_worker_count_is_capped(self, monkeypatch):
-        # a pure helper: no pool is started, whatever jobs asks for
+        # a pure helper: no pool is started, whatever jobs asks for; where
+        # os reports no affinity mask, the CPU count caps
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert _worker_count(100000, 64) == 4
         assert _worker_count(100000, 2) == 2
@@ -604,6 +633,48 @@ class TestBruteForce:
         assert _worker_count(-7, 64) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(100000, 64) == 1
+        # the affinity mask caps below the CPU count, as under taskset -c 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_count(8, 1000) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert _worker_count(8, 1000) == 3
+        assert _worker_count(2, 1000) == 2
+        assert _worker_count(8, 2) == 2
+
+    def test_jobs_split_the_growth_levels(self, monkeypatch, tmp_path):
+        # with two CPUs reported, jobs 2 deals the parents of the growth
+        # levels over two processes, not only those of the last level
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        family = ForbiddenFamily(clique_order=8)
+        serial = brute_force_ex(7, family, jobs=1).to_json(stable=True)
+        log = tmp_path / "tested"
+        _record_parents(monkeypatch, log)
+        assert brute_force_ex(7, family, jobs=2).to_json(stable=True) == serial
+        pids = {}
+        for pid, order in _recorded(log):
+            pids.setdefault(order, set()).add(pid)
+        assert len(pids) == 7
+        # parents on 6 vertices make the last level; those below, the growth
+        assert max(len(pids[order]) for order in range(6)) >= 2
+
+    def test_import_starts_no_process_machinery(self):
+        # the pool's modules load only once a query splits a level: loaded
+        # with the package they cost about 2.4 MB of peak RSS, on every run
+        src = os.path.dirname(os.path.dirname(oracle_module.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = (
+            "import sys, genturan; print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_size_limit(self):
         # K_n answers whatever the budget admits, with nothing examined, but
@@ -616,33 +687,28 @@ class TestBruteForce:
             with pytest.raises(OracleSizeError, match="budget of 2,000,000"):
                 brute_force_ex(n, ForbiddenFamily(clique_order=2))
 
-    def test_budget_refuses_a_level_before_it_runs(self, monkeypatch):
+    def test_budget_refuses_a_level_before_it_runs(self, monkeypatch, tmp_path):
         family = ForbiddenFamily(cycle_min_len=4, matching_bound=2)
-        parents, tried = _grow_classes(5, family)
+        _, parents, tried = _levels(5, family, 6, 1)
         last = tried + (len(parents) << 5)
         assert last == brute_force_ex(6, family).examined == 715
-        tested = []  # the parents whose extensions were family-tested
-        real = oracle_module._free_extension_test
-        monkeypatch.setattr(
-            oracle_module,
-            "_free_extension_test",
-            lambda g, f: tested.append(g) or real(g, f),
-        )
+        log = tmp_path / "tested"  # the parents whose extensions were family-tested
+        _record_parents(monkeypatch, log)
         monkeypatch.setattr(oracle_module, "_ORACLE_BUDGET", last - 1)
         messages = set()
         for grow in (
-            lambda: _grow_classes(6, family),
+            lambda: _levels(6, family, 7, 1),
             lambda: list(enumerate_family_free(7, family)),
             lambda: brute_force_ex(6, family, jobs=1),
             lambda: brute_force_ex(6, family, jobs=2),
         ):
-            tested.clear()
+            log.unlink(missing_ok=True)
             with pytest.raises(OracleSizeError) as info:
                 grow()
             messages.add(str(info.value))
             # levels 1..5 ran, so the parents on 4 vertices were extended;
             # level 6 was refused before any parent on 5 vertices was
-            assert max(g.n for g in tested) == 4
+            assert max(order for _, order in _recorded(log)) == 4
         assert messages == {
             f"the graphs on 6 vertices take at least {tried:,} + "
             f"{len(parents)}*2^5 one-vertex extensions, past the oracle budget "
